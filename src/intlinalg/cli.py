@@ -13,7 +13,12 @@ import time
 from typing import Optional, Sequence, TextIO
 
 from .core import Certificate, Decision, Verdict, parse_rational
-from .errors import ParseError, PreconditionError, IntervalAlgebraError
+from .errors import (
+    IntervalAlgebraError,
+    ParseError,
+    PreconditionError,
+    SizeGuardExceeded,
+)
 from .matrices import (
     IntervalMatrix,
     IntervalVector,
@@ -29,20 +34,34 @@ EXIT_UNKNOWN = 2
 EXIT_PRECONDITION = 3
 
 
+def _fmt_q(value) -> str:
+    """Every rational the CLI prints goes through here.
+
+    A numerator or denominator past Python's limit on int-to-str digits
+    becomes a size-guard error (exit 3) instead of a bare ValueError.
+    """
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise SizeGuardExceeded(
+            "a rational in the output exceeds the int-to-str digit limit"
+        ) from exc
+
+
 def _fmt_vector(values) -> str:
-    return "(" + ",".join(str(v) for v in values) + ")"
+    return "(" + ",".join(_fmt_q(v) for v in values) + ")"
 
 
 def _fmt_matrix(matrix: RealMatrix) -> str:
-    return "[" + ";".join(",".join(str(v) for v in row) for row in matrix.rows) + "]"
+    return "[" + ";".join(",".join(_fmt_q(v) for v in row) for row in matrix.rows) + "]"
 
 
 def _fmt_box(box: IntervalVector) -> str:
-    return "[" + "; ".join(f"{e.lo}:{e.hi}" for e in box.entries) + "]"
+    return "[" + "; ".join(_fmt_interval(e) for e in box.entries) + "]"
 
 
 def _fmt_interval(interval) -> str:
-    return f"{interval.lo}:{interval.hi}"
+    return f"{_fmt_q(interval.lo)}:{_fmt_q(interval.hi)}"
 
 
 def _emit_certificate(out: TextIO, cert: Optional[Certificate]):
@@ -55,7 +74,7 @@ def _emit_certificate(out: TextIO, cert: Optional[Certificate]):
     if cert.witness is not None:
         out.write(f"witness={_fmt_vector(cert.witness)}\n")
     if cert.value is not None:
-        out.write(f"lambda={cert.value}\n")
+        out.write(f"lambda={_fmt_q(cert.value)}\n")
     if isinstance(cert.member, RealMatrix):
         out.write(f"member={_fmt_matrix(cert.member)}\n")
     if cert.rhs_member is not None:

@@ -2,17 +2,22 @@
 
 Two-phase primal simplex over Fractions with Bland's anti-cycling rule:
 terminating, deterministic, and bit-exact.  Every orthant-decomposition
-decider in the package funnels through this module.
+decider in the package funnels through this module: ``feasible_orthants``
+is the one sweep, which solves one feasibility LP per sign orthant with the
+signs passed as variable bounds, and ``oettli_prager_rows`` builds the row
+pair of the Oettli-Prager inequality |C x - b_c| <= R |x| + d that those
+LPs share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import Certificate, Decision, as_vector, rational
 from .errors import MalformedProgram
+from .matrices import RealMatrix, SignVector, Vector
 
 LEQ = "<="
 EQ = "="
@@ -339,3 +344,45 @@ def lp_feasible(program: LinearProgram) -> Decision:
     x = std.recover(sol.x)
     assert program.feasible_point(x)
     return Decision(True, Certificate(witness=x))
+
+
+def oettli_prager_rows(
+    center: RealMatrix,
+    radius: RealMatrix,
+    s: SignVector,
+    b_mid: Optional[Sequence[Fraction]] = None,
+    b_rad: Optional[Sequence[Fraction]] = None,
+) -> List[Constraint]:
+    """|C x - b_c| <= R |x| + d on the orthant of s, as two rows per row of C.
+
+    With |x| = D_s x the pair is (C - R D_s) x <= b_c + d followed by
+    (-C - R D_s) x <= -b_c + d; b_c and d default to zero.
+    """
+    m, n = center.shape
+    rows = []
+    for i in range(m):
+        c, r = center.rows[i], radius.rows[i]
+        bc = Fraction(0) if b_mid is None else b_mid[i]
+        d = Fraction(0) if b_rad is None else b_rad[i]
+        up = tuple(c[j] - r[j] * s[j] for j in range(n))
+        down = tuple(-c[j] - r[j] * s[j] for j in range(n))
+        rows.append(Constraint(up, LEQ, bc + d))
+        rows.append(Constraint(down, LEQ, d - bc))
+    return rows
+
+
+def feasible_orthants(
+    n: int, rows_for: Callable[[SignVector], Sequence[Constraint]]
+) -> Iterator[Tuple[SignVector, LinearProgram, Vector]]:
+    """(s, program, witness) for each sign orthant whose program is feasible.
+
+    Orthants come in ``SignVector.all(n)`` order; the program has the rows
+    ``rows_for(s)``, a zero objective and the bounds s_j x_j >= 0.
+    """
+    zero = tuple([Fraction(0)] * n)
+    for s in SignVector.all(n):
+        bounds = tuple((0, None) if e > 0 else (None, 0) for e in s)
+        program = LinearProgram(zero, tuple(rows_for(s)), bounds)
+        outcome = lp_feasible(program)
+        if outcome.answer:
+            yield s, program, outcome.certificate.witness

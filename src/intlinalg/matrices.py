@@ -35,10 +35,6 @@ def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(u: Sequence[Fraction], c: Fraction) -> Vector:
-    return tuple(a * c for a in u)
-
-
 class RealMatrix:
     """Immutable m x n matrix of exact rationals."""
 
@@ -159,11 +155,6 @@ class RealMatrix:
         if not self.is_square():
             raise NotSquare("trace of a non-square matrix")
         return sum((self.rows[i][i] for i in range(self.m)), Fraction(0))
-
-    def with_entry(self, i: int, j: int, value) -> "RealMatrix":
-        rows = [list(row) for row in self.rows]
-        rows[i][j] = rational(value)
-        return RealMatrix(rows)
 
     def det(self) -> Fraction:
         if not self.is_square():
@@ -297,10 +288,6 @@ def componentwise_max(a: RealMatrix, b: RealMatrix) -> RealMatrix:
     return RealMatrix([[max(x, y) for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)])
 
 
-def leq(a: RealMatrix, b: RealMatrix) -> bool:
-    return all(x <= y for r, s in zip(a.rows, b.rows) for x, y in zip(r, s))
-
-
 @dataclass(frozen=True)
 class SignVector:
     """A +/-1 vector; indexes orthants and vertex matrices."""
@@ -346,11 +333,6 @@ class SignVector:
 
     def diag(self) -> RealMatrix:
         return RealMatrix.diag([Fraction(e) for e in self.entries])
-
-
-def sign_of(value: Fraction) -> int:
-    """Sign as +1/-1 with 0 mapped to +1 (orthant convention)."""
-    return -1 if value < 0 else 1
 
 
 class IntervalMatrix:

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 from .core import Certificate, Decision, Verdict
 from .errors import NotSquare, PreconditionViolated, ShapeError, SingularMatrix
-from .lp import GEQ, LEQ, Constraint, LinearProgram, lp_feasible
+from .lp import GEQ, Constraint, feasible_orthants, oettli_prager_rows
 from .matrices import (
     IntervalMatrix,
     RealMatrix,
@@ -29,35 +29,6 @@ from .spectral import (
     rho_less_than,
     sqrt_up,
 )
-
-
-def _kernel_orthant_program(
-    center: RealMatrix, radius: RealMatrix, s: SignVector
-) -> LinearProgram:
-    """Feasibility of a nonzero kernel vector in the orthant of sign s.
-
-    Constraints: -R D_s x <= C x <= R D_s x, D_s x >= 0, e^T D_s x >= 1.
-    """
-    m, n = center.shape
-    cons = []
-    for i in range(m):
-        upper = tuple(
-            center.rows[i][j] - radius.rows[i][j] * s[j] for j in range(n)
-        )
-        cons.append(Constraint(upper, LEQ, Fraction(0)))
-        lower = tuple(
-            -center.rows[i][j] - radius.rows[i][j] * s[j] for j in range(n)
-        )
-        cons.append(Constraint(lower, LEQ, Fraction(0)))
-    for j in range(n):
-        row = tuple(
-            Fraction(s[j]) if k == j else Fraction(0) for k in range(n)
-        )
-        cons.append(Constraint(row, GEQ, Fraction(0)))
-    cons.append(
-        Constraint(tuple(Fraction(s[j]) for j in range(n)), GEQ, Fraction(1))
-    )
-    return LinearProgram(objective=tuple([Fraction(0)] * n), constraints=tuple(cons))
 
 
 def member_with_kernel_vector(
@@ -90,13 +61,18 @@ def member_with_kernel_vector(
 
 
 def _kernel_search(matrix: IntervalMatrix) -> Optional[Tuple[SignVector, Vector]]:
-    """First orthant (lexicographic) admitting a nonzero kernel witness."""
+    """First orthant (lexicographic) admitting a nonzero kernel witness.
+
+    Per orthant: -R D_s x <= C x <= R D_s x and e^T D_s x >= 1.
+    """
     center, radius = matrix.midpoint_radius()
-    for s in SignVector.all(matrix.n):
-        outcome = lp_feasible(_kernel_orthant_program(center, radius, s))
-        if outcome.answer:
-            return s, outcome.certificate.witness
-    return None
+
+    def rows_for(s: SignVector):
+        nonzero = Constraint(tuple(Fraction(e) for e in s), GEQ, Fraction(1))
+        return oettli_prager_rows(center, radius, s) + [nonzero]
+
+    hit = next(feasible_orthants(matrix.n, rows_for), None)
+    return None if hit is None else (hit[0], hit[2])
 
 
 def is_regular_exact(matrix: IntervalMatrix) -> Decision:

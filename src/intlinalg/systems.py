@@ -25,7 +25,17 @@ from .errors import (
     SingularMatrix,
     UnboundedSolutionSet,
 )
-from .lp import EQ, GEQ, LEQ, Constraint, LinearProgram, lp_feasible, lp_optimize
+from .lp import (
+    EQ,
+    GEQ,
+    LEQ,
+    Constraint,
+    LinearProgram,
+    feasible_orthants,
+    lp_feasible,
+    lp_optimize,
+    oettli_prager_rows,
+)
 from .matrices import (
     IntervalMatrix,
     IntervalVector,
@@ -130,35 +140,6 @@ def is_solution_parametric(system: ParametricSystem, x: Sequence) -> bool:
 # exact hull by orthant sweep
 
 
-def _orthant_constraints(
-    center: RealMatrix,
-    radius: RealMatrix,
-    b_mid: Vector,
-    b_rad: Vector,
-    s: SignVector,
-) -> List[Constraint]:
-    m, n = center.shape
-    cons = []
-    for i in range(m):
-        row_up = tuple(
-            center.rows[i][j] - radius.rows[i][j] * s[j] for j in range(n)
-        )
-        cons.append(Constraint(row_up, LEQ, b_mid[i] + b_rad[i]))
-        row_dn = tuple(
-            -center.rows[i][j] - radius.rows[i][j] * s[j] for j in range(n)
-        )
-        cons.append(Constraint(row_dn, LEQ, -b_mid[i] + b_rad[i]))
-    for j in range(n):
-        cons.append(
-            Constraint(
-                tuple(Fraction(s[j]) if t == j else Fraction(0) for t in range(n)),
-                GEQ,
-                Fraction(0),
-            )
-        )
-    return cons
-
-
 def hull_exact(matrix: IntervalMatrix, rhs: IntervalVector) -> SolveReport:
     """Componentwise-tightest box around the solution set (orthant LPs)."""
     _check_system(matrix, rhs)
@@ -172,17 +153,18 @@ def hull_exact(matrix: IntervalMatrix, rhs: IntervalVector) -> SolveReport:
     lo: List[Optional[Fraction]] = [None] * n
     hi: List[Optional[Fraction]] = [None] * n
     any_feasible = False
-    for s in SignVector.all(n):
-        cons = _orthant_constraints(center, radius, b_mid, b_rad, s)
-        if not lp_feasible(LinearProgram(tuple([Fraction(0)] * n), tuple(cons))).answer:
-            continue
+    for _, program, _ in feasible_orthants(
+        n, lambda s: oettli_prager_rows(center, radius, s, b_mid, b_rad)
+    ):
         any_feasible = True
         for j in range(n):
             for direction in (1, -1):
                 obj = tuple(
                     Fraction(direction) if t == j else Fraction(0) for t in range(n)
                 )
-                sol = lp_optimize(LinearProgram(obj, tuple(cons)))
+                sol = lp_optimize(
+                    LinearProgram(obj, program.constraints, program.bounds)
+                )
                 if sol.status != "optimal":
                     raise UnboundedSolutionSet(
                         "orthant optimization unbounded despite rank check"
@@ -341,16 +323,6 @@ def _box_add(a: IntervalVector, b: IntervalVector) -> IntervalVector:
 
 def _box_shift(box: IntervalVector, v: Sequence[Fraction]) -> IntervalVector:
     return IntervalVector([e.shift(q) for e, q in zip(box.entries, v)])
-
-
-def _real_matvec_box(c: RealMatrix, box: IntervalVector) -> IntervalVector:
-    out = []
-    for i in range(c.m):
-        acc = Interval.point(0)
-        for k in range(c.n):
-            acc = acc + box[k].scale(c.rows[i][k])
-        out.append(acc)
-    return IntervalVector(out)
 
 
 def _precondition(matrix: IntervalMatrix, rhs: IntervalVector):
@@ -662,22 +634,22 @@ def solvability(matrix: IntervalMatrix, rhs: IntervalVector, mode: str) -> Decis
     b_mid, b_rad = rhs.midpoint_radius()
     m, n = matrix.shape
     if mode == "weak":
-        for s in SignVector.all(n):
-            cons = _orthant_constraints(center, radius, b_mid, b_rad, s)
-            outcome = lp_feasible(LinearProgram(tuple([Fraction(0)] * n), tuple(cons)))
-            if outcome.answer:
-                x = outcome.certificate.witness
-                member, b_vec = _member_pair_for_solution(matrix, rhs, x, s)
-                return Decision(
-                    True,
-                    Certificate(
-                        sign_vector=s.entries,
-                        witness=x,
-                        member=member,
-                        rhs_member=b_vec,
-                    ),
-                )
-        return Decision(False)
+        hit = next(
+            feasible_orthants(
+                n, lambda s: oettli_prager_rows(center, radius, s, b_mid, b_rad)
+            ),
+            None,
+        )
+        if hit is None:
+            return Decision(False)
+        s, _, x = hit
+        member, b_vec = _member_pair_for_solution(matrix, rhs, x, s)
+        return Decision(
+            True,
+            Certificate(
+                sign_vector=s.entries, witness=x, member=member, rhs_member=b_vec
+            ),
+        )
     if mode == "nonneg-weak":
         lower = matrix.lower()
         upper = matrix.upper()
@@ -715,54 +687,27 @@ def _strong_solvability(
     """
     center, radius = matrix.midpoint_radius()
     b_mid, b_rad = rhs.midpoint_radius()
-    m, n = matrix.shape
-    for s in SignVector.all(m):
-        cons: List[Constraint] = []
-        for j in range(n):
-            col_c = tuple(center.rows[i][j] for i in range(m))
-            col_r = tuple(radius.rows[i][j] * s[i] for i in range(m))
-            if nonneg:
-                row = tuple(c + r for c, r in zip(col_c, col_r))
-                cons.append(Constraint(row, GEQ, Fraction(0)))
-            else:
-                cons.append(
-                    Constraint(
-                        tuple(c - r for c, r in zip(col_c, col_r)), LEQ, Fraction(0)
-                    )
-                )
-                cons.append(
-                    Constraint(
-                        tuple(-c - r for c, r in zip(col_c, col_r)), LEQ, Fraction(0)
-                    )
-                )
-        cons.append(
-            Constraint(
-                tuple(b_mid[i] - b_rad[i] * s[i] for i in range(m)),
-                LEQ,
-                Fraction(-1),
-            )
-        )
-        for i in range(m):
-            cons.append(
-                Constraint(
-                    tuple(
-                        Fraction(s[i]) if t == i else Fraction(0) for t in range(m)
-                    ),
-                    GEQ,
-                    Fraction(0),
-                )
-            )
-        outcome = lp_feasible(LinearProgram(tuple([Fraction(0)] * m), tuple(cons)))
-        if outcome.answer:
-            p = outcome.certificate.witness
-            member, b_vec = _refuting_member(matrix, rhs, p, s, nonneg)
-            return Decision(
-                False,
-                Certificate(
-                    sign_vector=s.entries, witness=p, member=member, rhs_member=b_vec
-                ),
-            )
-    return Decision(True)
+    center_t, radius_t = center.transpose(), radius.transpose()
+    m = matrix.m
+
+    def rows_for(s: SignVector) -> List[Constraint]:
+        # (C^T - R^T D_s) p <= 0 and (-C^T - R^T D_s) p <= 0; the second
+        # alone is (C^T + R^T D_s) p >= 0
+        pair = oettli_prager_rows(center_t, radius_t, s)
+        b_row = tuple(b_mid[i] - b_rad[i] * s[i] for i in range(m))
+        return (pair[1::2] if nonneg else pair) + [
+            Constraint(b_row, LEQ, Fraction(-1))
+        ]
+
+    hit = next(feasible_orthants(m, rows_for), None)
+    if hit is None:
+        return Decision(True)
+    s, _, p = hit
+    member, b_vec = _refuting_member(matrix, rhs, p, s, nonneg)
+    return Decision(
+        False,
+        Certificate(sign_vector=s.entries, witness=p, member=member, rhs_member=b_vec),
+    )
 
 
 def _refuting_member(
@@ -811,53 +756,23 @@ def ineq_solvability(
     b_lo = rhs.lower()
     b_hi = rhs.upper()
     if mode == "weak":
-        for s in SignVector.all(n):
-            cons = [
-                Constraint(
-                    tuple(
-                        center.rows[i][j] - radius.rows[i][j] * s[j]
-                        for j in range(n)
-                    ),
-                    LEQ,
-                    b_hi[i],
-                )
-                for i in range(m)
-            ]
-            for j in range(n):
-                cons.append(
-                    Constraint(
-                        tuple(
-                            Fraction(s[j]) if t == j else Fraction(0)
-                            for t in range(n)
-                        ),
-                        GEQ,
-                        Fraction(0),
-                    )
-                )
-            outcome = lp_feasible(
-                LinearProgram(tuple([Fraction(0)] * n), tuple(cons))
-            )
-            if outcome.answer:
-                x = outcome.certificate.witness
-                member = RealMatrix(
-                    [
-                        [
-                            center.rows[i][j] - radius.rows[i][j] * s[j]
-                            for j in range(n)
-                        ]
-                        for i in range(m)
-                    ]
-                )
-                return Decision(
-                    True,
-                    Certificate(
-                        sign_vector=s.entries,
-                        witness=x,
-                        member=member,
-                        rhs_member=b_hi,
-                    ),
-                )
-        return Decision(False)
+        # (C - R D_s) x <= b_hi: the first row of each pair, b_c = b_hi, d = 0
+        hit = next(
+            feasible_orthants(
+                n, lambda s: oettli_prager_rows(center, radius, s, b_hi)[0::2]
+            ),
+            None,
+        )
+        if hit is None:
+            return Decision(False)
+        s, program, x = hit
+        member = RealMatrix([con.coeffs for con in program.constraints])
+        return Decision(
+            True,
+            Certificate(
+                sign_vector=s.entries, witness=x, member=member, rhs_member=b_hi
+            ),
+        )
     if mode == "strong":
         upper = matrix.upper()
         lower = matrix.lower()
@@ -970,36 +885,17 @@ def tc_existence(matrix: IntervalMatrix, rhs: IntervalVector, kind: str) -> Deci
         assert tc_membership(matrix, rhs, x, "tolerance")
         return Decision(True, Certificate(witness=x))
     if kind == "control":
-        for s in SignVector.all(n):
-            cons = []
-            for i in range(m):
-                row_up = tuple(
-                    center.rows[i][j] - radius.rows[i][j] * s[j] for j in range(n)
-                )
-                cons.append(Constraint(row_up, LEQ, b_mid[i] - b_rad[i]))
-                row_dn = tuple(
-                    -center.rows[i][j] - radius.rows[i][j] * s[j] for j in range(n)
-                )
-                cons.append(Constraint(row_dn, LEQ, -b_mid[i] - b_rad[i]))
-            for j in range(n):
-                cons.append(
-                    Constraint(
-                        tuple(
-                            Fraction(s[j]) if t == j else Fraction(0)
-                            for t in range(n)
-                        ),
-                        GEQ,
-                        Fraction(0),
-                    )
-                )
-            outcome = lp_feasible(
-                LinearProgram(tuple([Fraction(0)] * n), tuple(cons))
-            )
-            if outcome.answer:
-                x = outcome.certificate.witness
-                assert tc_membership(matrix, rhs, x, "control")
-                return Decision(
-                    True, Certificate(sign_vector=s.entries, witness=x)
-                )
-        return Decision(False)
+        # the Oettli-Prager pair with d replaced by -d
+        minus_d = tuple(-d for d in b_rad)
+        hit = next(
+            feasible_orthants(
+                n, lambda s: oettli_prager_rows(center, radius, s, b_mid, minus_d)
+            ),
+            None,
+        )
+        if hit is None:
+            return Decision(False)
+        s, _, x = hit
+        assert tc_membership(matrix, rhs, x, "control")
+        return Decision(True, Certificate(sign_vector=s.entries, witness=x))
     raise ValueError(f"unknown existence kind {kind!r}")

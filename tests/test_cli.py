@@ -1,10 +1,13 @@
 """Command-line front end: output grammar, exit codes, round trips."""
 
 import io
+import sys
+
 import pytest
 
-from intlinalg import format_imx, parse_imx
+from intlinalg import format_imx, format_imx_vector, parse_imx
 from intlinalg.cli import run
+from intlinalg.generate import well_conditioned_system
 
 
 def invoke(*argv):
@@ -267,6 +270,23 @@ class TestExitCodes:
     def test_usage_error_is_1(self):
         assert invoke("frobnicate")[0] == 1
         assert invoke("solve")[0] == 1
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="this Python has no int-to-str digit limit",
+    )
+    def test_oversized_rational_is_3(self, tmp_path):
+        # interval elimination on this n = 9 system ends with endpoints of
+        # about 15900 bits, past the int-to-str limit of 4300 digits
+        matrix, rhs = well_conditioned_system(9, 0)
+        a = tmp_path / "a.imx"
+        a.write_text(format_imx(matrix))
+        b = tmp_path / "b.imx"
+        b.write_text(format_imx_vector(rhs))
+        code, fields, _ = invoke("solve", str(a), str(b), "--method", "int-ge")
+        assert code == 3
+        assert fields["error"].startswith("SizeGuardExceeded: ")
+        assert "box" not in fields
 
     def test_precondition_is_3(self, files):
         code, _, _ = invoke("det", files["sharaya.imx"])
