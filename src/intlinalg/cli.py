@@ -507,9 +507,6 @@ def run(argv: Sequence[str], out: TextIO = sys.stdout) -> int:
     except FileNotFoundError as exc:
         out.write(f"error=missing file: {exc.filename}\n")
         return EXIT_USAGE
-    except PreconditionError as exc:
-        out.write(f"error={type(exc).__name__}: {exc}\n")
-        return EXIT_PRECONDITION
     except IntervalAlgebraError as exc:
         out.write(f"error={type(exc).__name__}: {exc}\n")
         return EXIT_PRECONDITION

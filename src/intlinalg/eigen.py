@@ -20,18 +20,13 @@ from .errors import (
     NotPositiveVector,
     NotSquare,
     NotSymmetric,
+    SingularMatrix,
     SizeGuardExceeded,
     UnsupportedClass,
     ZeroVector,
 )
-from .matrices import (
-    IntervalMatrix,
-    RealMatrix,
-    SignVector,
-    Vector,
-    vec_abs,
-    vec_sub,
-)
+from .lp import oettli_prager_member
+from .matrices import IntervalMatrix, IntervalVector, RealMatrix, SignVector, Vector
 from .regularity import is_regular_exact
 from .spectral import (
     DEFAULT_TOL,
@@ -70,7 +65,6 @@ class SymmetricIntervalMatrix:
 
     def vertices(self) -> List[Tuple[SignVector, RealMatrix]]:
         """Symmetric endpoint members C - D_z R D_z (z and -z coincide)."""
-        center, radius = self.base.midpoint_radius()
         out = []
         for z in SignVector.half(self.n):
             out.append((z, self.base.vertex_matrix(z, z)))
@@ -103,7 +97,8 @@ def is_eigenvalue(matrix: IntervalMatrix, lam) -> Decision:
         return Decision(False)
     cert = verdict.certificate
     member = cert.member + RealMatrix.identity(matrix.n).scale(lam)
-    assert matrix.contains(member)
+    if not matrix.contains(member):
+        raise AssertionError("shifted singular member lies outside the matrix")
     return Decision(
         True,
         Certificate(
@@ -136,30 +131,6 @@ def _eigenvector_lambda_range(
     return lam
 
 
-def eigenvector_member(
-    matrix: IntervalMatrix, x: Vector, lam: Fraction
-) -> RealMatrix:
-    """Member matrix realizing A x = lam x, built row by row."""
-    center, radius = matrix.midpoint_radius()
-    target = tuple(lam * v for v in x)
-    residual = vec_sub(center.matvec(x), target)
-    spread = radius.matvec(vec_abs(x))
-    rows = []
-    for i in range(matrix.m):
-        t = residual[i] / spread[i] if spread[i] != 0 else Fraction(0)
-        rows.append(
-            [
-                center.rows[i][j]
-                - t * radius.rows[i][j] * (-1 if x[j] < 0 else 1)
-                for j in range(matrix.n)
-            ]
-        )
-    member = RealMatrix(rows)
-    assert matrix.contains(member)
-    assert member.matvec(x) == target
-    return member
-
-
 def is_eigenvector(matrix: IntervalMatrix, x) -> Decision:
     """Is x an eigenvector of some member (for some real eigenvalue)?"""
     if not matrix.is_square():
@@ -173,7 +144,9 @@ def is_eigenvector(matrix: IntervalMatrix, x) -> Decision:
     if lam_range is None:
         return Decision(False)
     lam = lam_range.midpoint
-    member = eigenvector_member(matrix, xs, lam)
+    s = SignVector.of([-1 if v < 0 else 1 for v in xs])
+    target = IntervalVector.degenerate([lam * v for v in xs])
+    member, _ = oettli_prager_member(matrix, xs, s, target)
     return Decision(True, Certificate(witness=xs, member=member, value=lam))
 
 
@@ -221,7 +194,8 @@ def is_perron_vector(matrix: IntervalMatrix, x) -> Decision:
     if lam_range is None or lam_range.hi <= 0:
         return Decision(False)
     lam = lam_range.hi
-    member = eigenvector_member(matrix, xs, lam)
+    target = IntervalVector.degenerate([lam * v for v in xs])
+    member, _ = oettli_prager_member(matrix, xs, SignVector.ones(matrix.n), target)
     return Decision(True, Certificate(witness=xs, member=member, value=lam))
 
 
@@ -373,7 +347,7 @@ def strong_pd(
             return Verdict.unknown("midpoint is not positive definite")
         try:
             inv = center.inverse()
-        except Exception:
+        except SingularMatrix:
             return Verdict.unknown("midpoint not invertible")
         if rho_less_than(inv.abs() @ radius, 1):
             return Verdict.proven("midpoint PD and contraction certified")

@@ -16,7 +16,6 @@ from typing import List, Optional
 from .core import Certificate, Decision, Interval
 from .errors import (
     NotSquare,
-    PivotContainsZero,
     SingularIntervalMatrix,
     SingularMatrix,
     SizeGuardExceeded,
@@ -32,7 +31,7 @@ from .matrices import (
 )
 from .regularity import is_regular_exact
 from .spectral import rho_less_than
-from .systems import SolveOptions, enclosure
+from .systems import SolveOptions, _forward_elimination, enclosure
 
 VERTEX_INVERSE_GUARD = 6
 EXACT_DET_GUARD = 3
@@ -158,29 +157,8 @@ def det_range(matrix: IntervalMatrix, method: str = "exact") -> Interval:
 
 def _det_enclosure(matrix: IntervalMatrix) -> Interval:
     """Product of interval elimination pivots (a superset of the range)."""
-    n = matrix.n
-    work: List[List[Interval]] = [list(row) for row in matrix.entries]
-    sign = 1
+    work, sign = _forward_elimination(matrix.entries)
     result = Interval.point(1)
-    for k in range(n):
-        pivot_row = None
-        pivot_mig = Fraction(0)
-        for r in range(k, n):
-            mig = work[r][k].mig
-            if mig > pivot_mig:
-                pivot_mig = mig
-                pivot_row = r
-        if pivot_row is None:
-            raise PivotContainsZero(f"all candidate pivots in column {k} contain zero")
-        if pivot_row != k:
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            sign = -sign
+    for k in range(matrix.n):
         result = result * work[k][k]
-        for r in range(k + 1, n):
-            if work[r][k].is_degenerate() and work[r][k].lo == 0:
-                continue
-            factor = work[r][k] / work[k][k]
-            for c in range(k + 1, n):
-                work[r][c] = work[r][c] - factor * work[k][c]
-            work[r][k] = Interval.point(0)
     return result.scale(sign)

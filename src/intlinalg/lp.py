@@ -6,7 +6,8 @@ decider in the package funnels through this module: ``feasible_orthants``
 is the one sweep, which solves one feasibility LP per sign orthant with the
 signs passed as variable bounds, and ``oettli_prager_rows`` builds the row
 pair of the Oettli-Prager inequality |C x - b_c| <= R |x| + d that those
-LPs share.
+LPs share.  ``oettli_prager_member`` inverts those rows: from a witness it
+builds the member system that the witness solves, and checks it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,16 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import Certificate, Decision, as_vector, rational
 from .errors import MalformedProgram
-from .matrices import RealMatrix, SignVector, Vector
+from .matrices import (
+    IntervalMatrix,
+    IntervalVector,
+    RealMatrix,
+    SignVector,
+    Vector,
+    vec_abs,
+    vec_add,
+    vec_sub,
+)
 
 LEQ = "<="
 EQ = "="
@@ -369,6 +379,47 @@ def oettli_prager_rows(
         rows.append(Constraint(up, LEQ, bc + d))
         rows.append(Constraint(down, LEQ, d - bc))
     return rows
+
+
+def oettli_prager_member(
+    matrix: IntervalMatrix,
+    x: Vector,
+    s: SignVector,
+    rhs: Optional[IntervalVector] = None,
+) -> Tuple[RealMatrix, Vector]:
+    """Member system (M, b) with M x = b, from a witness x in the orthant of s.
+
+    The converse of Oettli-Prager, row by row: t_i = (C x - b_c)_i /
+    (R |x| + d)_i (0 when the divisor is 0), m_i = c_i - t_i (r_i .* s) and
+    b_i = b_c,i + t_i d_i; b_c and d are zero when rhs is None.  A witness
+    that satisfies the rows of ``oettli_prager_rows`` gives |t_i| <= 1; any
+    other raises AssertionError, as does every failed check of the output.
+    """
+    m, n = matrix.shape
+    center, radius = matrix.midpoint_radius()
+    if rhs is None:
+        b_mid = b_rad = tuple([Fraction(0)] * m)
+    else:
+        b_mid, b_rad = rhs.midpoint_radius()
+    residual = vec_sub(center.matvec(x), b_mid)
+    slack = vec_add(radius.matvec(vec_abs(x)), b_rad)
+    rows = []
+    b_out = []
+    for i in range(m):
+        t = residual[i] / slack[i] if slack[i] != 0 else Fraction(0)
+        rows.append(
+            [center.rows[i][j] - t * radius.rows[i][j] * s[j] for j in range(n)]
+        )
+        b_out.append(b_mid[i] + t * b_rad[i])
+    member = RealMatrix(rows)
+    b = tuple(b_out)
+    if not matrix.contains(member):
+        raise AssertionError("witness gives a member outside the interval matrix")
+    if rhs is not None and not rhs.contains_point(b):
+        raise AssertionError("witness gives a right-hand side outside the box")
+    if member.matvec(x) != b:
+        raise AssertionError("member does not map the witness to its right-hand side")
+    return member, b
 
 
 def feasible_orthants(

@@ -9,18 +9,18 @@ kernel witness, and a concrete singular member matrix.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
 from .core import Certificate, Decision, Verdict
 from .errors import NotSquare, PreconditionViolated, ShapeError, SingularMatrix
-from .lp import GEQ, Constraint, feasible_orthants, oettli_prager_rows
-from .matrices import (
-    IntervalMatrix,
-    RealMatrix,
-    SignVector,
-    Vector,
-    vec_abs,
+from .lp import (
+    GEQ,
+    Constraint,
+    feasible_orthants,
+    oettli_prager_member,
+    oettli_prager_rows,
 )
+from .matrices import IntervalMatrix, RealMatrix, SignVector
 from .spectral import (
     DEFAULT_TOL,
     extremal_singular_values,
@@ -28,40 +28,13 @@ from .spectral import (
     is_positive_semidefinite_real,
     rho_less_than,
     sqrt_up,
+    sym_eigen_range,
 )
 
 
-def member_with_kernel_vector(
-    matrix: IntervalMatrix, x: Vector, s: SignVector
-) -> RealMatrix:
-    """Member matrix M with M x = 0, built row by row from the witness.
-
-    Row i picks a_i = center_i - t_i * (radius_i .* s) with
-    t_i = (C x)_i / (R |x|)_i, which lands inside the bounds because the
-    witness satisfies |C x| <= R |x| componentwise.
-    """
-    center, radius = matrix.midpoint_radius()
-    cx = center.matvec(x)
-    rx = radius.matvec(vec_abs(x))
-    rows = []
-    for i in range(matrix.m):
-        t = cx[i] / rx[i] if rx[i] != 0 else Fraction(0)
-        if rx[i] == 0 and cx[i] != 0:
-            raise AssertionError("witness violates the kernel inequality")
-        rows.append(
-            [
-                center.rows[i][j] - t * radius.rows[i][j] * s[j]
-                for j in range(matrix.n)
-            ]
-        )
-    member = RealMatrix(rows)
-    assert matrix.contains(member)
-    assert all(v == 0 for v in member.matvec(x))
-    return member
-
-
-def _kernel_search(matrix: IntervalMatrix) -> Optional[Tuple[SignVector, Vector]]:
-    """First orthant (lexicographic) admitting a nonzero kernel witness.
+def _kernel_decision(matrix: IntervalMatrix) -> Decision:
+    """No nonzero x with M x = 0 for any member M?  False carries the first
+    orthant (lexicographic) with such an x, the witness and a singular member.
 
     Per orthant: -R D_s x <= C x <= R D_s x and e^T D_s x >= 1.
     """
@@ -72,22 +45,21 @@ def _kernel_search(matrix: IntervalMatrix) -> Optional[Tuple[SignVector, Vector]
         return oettli_prager_rows(center, radius, s) + [nonzero]
 
     hit = next(feasible_orthants(matrix.n, rows_for), None)
-    return None if hit is None else (hit[0], hit[2])
+    if hit is None:
+        return Decision(True)
+    s, _, x = hit
+    member, _ = oettli_prager_member(matrix, x, s)
+    return Decision(
+        False,
+        Certificate(sign_vector=s.entries, witness=x, member=member),
+    )
 
 
 def is_regular_exact(matrix: IntervalMatrix) -> Decision:
     """Every member nonsingular?  False comes with a singular member."""
     if not matrix.is_square():
         raise NotSquare("regularity is defined for square interval matrices")
-    hit = _kernel_search(matrix)
-    if hit is None:
-        return Decision(True)
-    s, x = hit
-    member = member_with_kernel_vector(matrix, x, s)
-    return Decision(
-        False,
-        Certificate(sign_vector=s.entries, witness=x, member=member),
-    )
+    return _kernel_decision(matrix)
 
 
 def has_full_column_rank_exact(matrix: IntervalMatrix) -> Decision:
@@ -95,15 +67,7 @@ def has_full_column_rank_exact(matrix: IntervalMatrix) -> Decision:
     m, n = matrix.shape
     if m < n:
         raise ShapeError(f"full column rank needs m >= n, got {matrix.shape}")
-    hit = _kernel_search(matrix)
-    if hit is None:
-        return Decision(True)
-    s, x = hit
-    member = member_with_kernel_vector(matrix, x, s)
-    return Decision(
-        False,
-        Certificate(sign_vector=s.entries, witness=x, member=member),
-    )
+    return _kernel_decision(matrix)
 
 
 def regularity_sufficient(
@@ -158,9 +122,7 @@ def _norm_gap_verdict(
     if is_positive_definite_real(shifted).is_proven:
         return Verdict.proven("norm gap certified (Frobenius)")
     # spectral norm of R^T R = lambda_max(R^T R) since it is symmetric PSD
-    from .spectral import sym_eigen_range as point_eigen_range
-
-    _, lam_max = point_eigen_range(gram_r, tol)
+    _, lam_max = sym_eigen_range(gram_r, tol)
     shifted = gram_c - RealMatrix.identity(n).scale(lam_max.value.hi)
     if is_positive_definite_real(shifted).is_proven:
         return Verdict.proven("norm gap certified (spectral)")

@@ -347,19 +347,9 @@ def is_positive_definite_real(matrix: RealMatrix) -> Verdict:
     """Exact PD decision via pivot signs; never returns Unknown."""
     if not matrix.is_symmetric():
         raise NotSymmetric("positive definiteness requires a symmetric matrix")
-    work = [list(row) for row in matrix.rows]
-    n = matrix.n
-    for k in range(n):
-        pivot = work[k][k]
-        if pivot <= 0:
-            return Verdict.refuted(f"pivot {k} is {pivot}")
-        for r in range(k + 1, n):
-            factor = work[r][k] / pivot
-            if factor == 0:
-                continue
-            for c in range(k, n):
-                work[r][c] -= factor * work[k][c]
-    return Verdict.proven("all pivots positive")
+    if matrix.leading_minors_all_positive():
+        return Verdict.proven("all pivots positive")
+    return Verdict.refuted("a leading principal minor is not positive")
 
 
 def is_positive_semidefinite_real(matrix: RealMatrix) -> bool:

@@ -34,6 +34,7 @@ from .lp import (
     feasible_orthants,
     lp_feasible,
     lp_optimize,
+    oettli_prager_member,
     oettli_prager_rows,
 )
 from .matrices import (
@@ -359,33 +360,50 @@ def _auto_initial(
     return tight
 
 
+def _forward_elimination(
+    rows: Sequence[Sequence[Interval]],
+) -> Tuple[List[List[Interval]], int]:
+    """Interval elimination below the diagonal of the n leading columns of
+    n rows; returns the reduced rows and the parity (+1 or -1) of the swaps.
+
+    The pivot of column k is the first candidate of largest mignitude, and
+    rows whose entry is the point zero are skipped.
+    """
+    work = [list(row) for row in rows]
+    n = len(work)
+    sign = 1
+    for k in range(n):
+        pivot_row = None
+        pivot_mig = Fraction(0)
+        for r in range(k, n):
+            mig = work[r][k].mig
+            if mig > pivot_mig:
+                pivot_mig = mig
+                pivot_row = r
+        if pivot_row is None:
+            raise PivotContainsZero(f"all candidate pivots in column {k} contain zero")
+        if pivot_row != k:
+            work[k], work[pivot_row] = work[pivot_row], work[k]
+            sign = -sign
+        for r in range(k + 1, n):
+            if work[r][k].is_degenerate() and work[r][k].lo == 0:
+                continue
+            factor = work[r][k] / work[k][k]
+            for c in range(k + 1, len(work[r])):
+                work[r][c] = work[r][c] - factor * work[k][c]
+            work[r][k] = Interval.point(0)
+    return work, sign
+
+
 def _interval_gauss_elimination(
     matrix: IntervalMatrix, rhs: IntervalVector
 ) -> IntervalVector:
     if not matrix.is_square():
         raise NotSquare("interval elimination needs a square matrix")
     n = matrix.n
-    aug: List[List[Interval]] = [
-        list(matrix.row(i)) + [rhs[i]] for i in range(n)
-    ]
-    for k in range(n):
-        pivot_row = None
-        pivot_mig = Fraction(0)
-        for r in range(k, n):
-            mig = aug[r][k].mig
-            if mig > pivot_mig:
-                pivot_mig = mig
-                pivot_row = r
-        if pivot_row is None:
-            raise PivotContainsZero(f"all candidate pivots in column {k} contain zero")
-        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        for r in range(k + 1, n):
-            if aug[r][k].is_degenerate() and aug[r][k].lo == 0:
-                continue
-            factor = aug[r][k] / aug[k][k]
-            for c in range(k + 1, n + 1):
-                aug[r][c] = aug[r][c] - factor * aug[k][c]
-            aug[r][k] = Interval.point(0)
+    aug, _ = _forward_elimination(
+        [list(matrix.row(i)) + [rhs[i]] for i in range(n)]
+    )
     xs: List[Optional[Interval]] = [None] * n
     for k in range(n - 1, -1, -1):
         acc = aug[k][n]
@@ -597,36 +615,6 @@ def solve_auto(
 # solvability
 
 
-def _member_pair_for_solution(
-    matrix: IntervalMatrix,
-    rhs: IntervalVector,
-    x: Vector,
-    s: SignVector,
-) -> Tuple[RealMatrix, Vector]:
-    """Member system with A x = b exactly, from an orthant witness."""
-    center, radius = matrix.midpoint_radius()
-    b_mid, b_rad = rhs.midpoint_radius()
-    residual = vec_sub(center.matvec(x), b_mid)
-    slack = vec_add(radius.matvec(vec_abs(x)), b_rad)
-    rows = []
-    b_out = []
-    for i in range(matrix.m):
-        t = residual[i] / slack[i] if slack[i] != 0 else Fraction(0)
-        rows.append(
-            [
-                center.rows[i][j] - t * radius.rows[i][j] * s[j]
-                for j in range(matrix.n)
-            ]
-        )
-        b_out.append(b_mid[i] + t * b_rad[i])
-    member = RealMatrix(rows)
-    b_vec = tuple(b_out)
-    assert matrix.contains(member)
-    assert all(rhs[i].contains(b_vec[i]) for i in range(rhs.dim))
-    assert member.matvec(x) == b_vec
-    return member, b_vec
-
-
 def solvability(matrix: IntervalMatrix, rhs: IntervalVector, mode: str) -> Decision:
     """Weak/strong (nonnegative) solvability of A x = b with certificates."""
     _check_system(matrix, rhs)
@@ -643,7 +631,7 @@ def solvability(matrix: IntervalMatrix, rhs: IntervalVector, mode: str) -> Decis
         if hit is None:
             return Decision(False)
         s, _, x = hit
-        member, b_vec = _member_pair_for_solution(matrix, rhs, x, s)
+        member, b_vec = oettli_prager_member(matrix, x, s, rhs)
         return Decision(
             True,
             Certificate(
@@ -665,9 +653,7 @@ def solvability(matrix: IntervalMatrix, rhs: IntervalVector, mode: str) -> Decis
         if not outcome.answer:
             return Decision(False)
         x = outcome.certificate.witness
-        member, b_vec = _member_pair_for_solution(
-            matrix, rhs, x, SignVector.ones(n)
-        )
+        member, b_vec = oettli_prager_member(matrix, x, SignVector.ones(n), rhs)
         return Decision(
             True, Certificate(witness=x, member=member, rhs_member=b_vec)
         )
@@ -702,48 +688,18 @@ def _strong_solvability(
     hit = next(feasible_orthants(m, rows_for), None)
     if hit is None:
         return Decision(True)
-    s, _, p = hit
-    member, b_vec = _refuting_member(matrix, rhs, p, s, nonneg)
+    s, program, p = hit
+    # nonneg: the vertex C + D_s R, whose A^T p = (C^T + R^T D_s) p >= 0;
+    # otherwise the member with A^T p = 0, built on the transposed matrix
+    if nonneg:
+        member = matrix.vertex_matrix(s, -SignVector.ones(matrix.n))
+    else:
+        member = oettli_prager_member(matrix.transpose(), p, s)[0].transpose()
+    b_vec = program.constraints[-1].coeffs  # the b row, b_c - D_s d
     return Decision(
         False,
         Certificate(sign_vector=s.entries, witness=p, member=member, rhs_member=b_vec),
     )
-
-
-def _refuting_member(
-    matrix: IntervalMatrix,
-    rhs: IntervalVector,
-    p: Vector,
-    s: SignVector,
-    nonneg: bool,
-) -> Tuple[RealMatrix, Vector]:
-    """Member system certified insolvable by the dual vector p."""
-    center, radius = matrix.midpoint_radius()
-    b_mid, b_rad = rhs.midpoint_radius()
-    m, n = matrix.shape
-    rows = [[Fraction(0)] * n for _ in range(m)]
-    if nonneg:
-        for i in range(m):
-            for j in range(n):
-                rows[i][j] = center.rows[i][j] + radius.rows[i][j] * s[i]
-    else:
-        ctp = [
-            sum((center.rows[i][j] * p[i] for i in range(m)), Fraction(0))
-            for j in range(n)
-        ]
-        rtp = [
-            sum((radius.rows[i][j] * s[i] * p[i] for i in range(m)), Fraction(0))
-            for j in range(n)
-        ]
-        for j in range(n):
-            t = ctp[j] / rtp[j] if rtp[j] != 0 else Fraction(0)
-            for i in range(m):
-                rows[i][j] = center.rows[i][j] - t * radius.rows[i][j] * s[i]
-    member = RealMatrix(rows)
-    b_vec = tuple(b_mid[i] - b_rad[i] * s[i] for i in range(m))
-    assert matrix.contains(member)
-    assert all(rhs[i].contains(b_vec[i]) for i in range(m))
-    return member, b_vec
 
 
 def ineq_solvability(
@@ -820,17 +776,11 @@ def ineq_solvability(
 def _verify_universal_witness(
     matrix: IntervalMatrix, b_lo: Vector, x: Vector
 ) -> None:
-    """Check A_yz x <= lower rhs for every vertex member (small shapes), or
-    the equivalent row-wise worst case otherwise."""
-    m, n = matrix.shape
-    if m + n <= 14:
-        for y in SignVector.all(m):
-            for z in SignVector.all(n):
-                vals = matrix.vertex_matrix(y, z).matvec(x)
-                assert all(v <= b for v, b in zip(vals, b_lo))
-    else:
-        worst = matrix.matvec_point(x).upper()
-        assert all(v <= b for v, b in zip(worst, b_lo))
+    """Raise unless A x <= lower rhs for every member A; the upper end of
+    ``matvec_point`` is the exact row-wise maximum of A x."""
+    worst = matrix.matvec_point(x).upper()
+    if any(v > b for v, b in zip(worst, b_lo)):
+        raise AssertionError("universal witness fails for some member")
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,39 @@ class TestDetRange:
         )
         assert det_range(a, "enclosure").contains_interval(det_range(a, "exact"))
 
+    # (matrix, enclosure) at n = 2 and 3: the product of the elimination
+    # pivots, negated after an odd number of row swaps
+    ENCLOSURE_TABLE = {
+        "n2-noswap": ([[iv(2, 3), iv(0, 1)], [iv(1, 2), iv(3, 4)]], iv(4, 12)),
+        "n2-swap": ([[iv(0, 1), iv(1, 2)], [iv(3, 4), iv(1, 1)]], iv(-8, -2)),
+        "n3-point": (
+            [[iv(2, 2), iv(1, 1), iv(0, 0)],
+             [iv(1, 1), iv(3, 3), iv(1, 1)],
+             [iv(0, 0), iv(1, 1), iv(4, 4)]],
+            iv(18, 18),
+        ),
+        "n3-swap": (
+            [[iv(-1, 1), iv(2, 3), iv(1, 1)],
+             [iv(4, 5), iv(0, 1), iv(-1, 0)],
+             [iv(1, 2), iv(1, 1), iv(3, 4)]],
+            Interval(F(-285, 4), F(-16)),
+        ),
+        "n3-zero-skip": (
+            [[iv(2, 3), iv(1, 2), iv(0, 1)],
+             [iv(0, 0), iv(3, 4), iv(1, 1)],
+             [iv(0, 0), iv(-1, 1), iv(5, 6)]],
+            iv(28, 76),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ENCLOSURE_TABLE))
+    def test_enclosure_table(self, case):
+        entries, expected = self.ENCLOSURE_TABLE[case]
+        a = IntervalMatrix(entries)
+        box = det_range(a, "enclosure")
+        assert box == expected
+        assert box.contains_interval(det_range(a, "exact"))
+
     def test_enclosure_pivot_failure(self):
         a = IntervalMatrix([[iv(-1, 1)]])
         with pytest.raises(PivotContainsZero):

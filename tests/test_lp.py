@@ -1,19 +1,36 @@
 """Exact simplex: feasibility witnesses, optima, determinism."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from intlinalg import Constraint, LinearProgram, lp_feasible, lp_optimize
+from intlinalg import (
+    Constraint,
+    Interval,
+    IntervalMatrix,
+    IntervalVector,
+    LinearProgram,
+    lp_feasible,
+    lp_optimize,
+)
 from intlinalg.errors import MalformedProgram
-from intlinalg.lp import EQ, GEQ, LEQ
-from intlinalg.matrices import RealMatrix
+from intlinalg.lp import EQ, GEQ, LEQ, oettli_prager_member
+from intlinalg.matrices import RealMatrix, SignVector
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+def iv(lo, hi):
+    return Interval(F(lo), F(hi))
 
 
 class TestFeasibility:
@@ -179,3 +196,94 @@ class TestContracts:
         for _ in range(5):
             again = lp_optimize(p)
             assert again == first
+
+
+class TestOettliPragerMember:
+    """The member builder against members recorded from the four builders it
+    replaced, and its own checks on witnesses that solve nothing."""
+
+    def test_kernel_member(self):
+        a = IntervalMatrix(
+            [[iv(F(6, 5), F(24, 5)), iv(F(3, 5), F(12, 5))],
+             [iv(F(-3, 5), F(33, 5)), iv(F(-24, 5), F(-6, 5))]]
+        )
+        member, b = oettli_prager_member(
+            a, (F(2, 3), F(-1, 3)), SignVector.of((1, -1))
+        )
+        assert member == RealMatrix([[F(6, 5), F(12, 5)], [F(-3, 5), F(-6, 5)]])
+        assert b == (0, 0)
+
+    def test_weak_member(self):
+        a = IntervalMatrix([[iv(2, 3), iv(-1, 1)], [iv(0, 1), iv(1, 2)]])
+        rhs = IntervalVector([iv(1, 2), iv(1, 3)])
+        member, b = oettli_prager_member(a, (F(1), F(1)), SignVector.ones(2), rhs)
+        assert member == RealMatrix([[F(9, 4), F(-1, 2)], [F(1, 2), F(3, 2)]])
+        assert b == (F(7, 4), F(2))
+
+    def test_strong_member_on_the_transpose(self):
+        """A^T p = 0 for the Farkas vector p = (1, -2)."""
+        a = IntervalMatrix([[iv(1, 2), iv(1, 2)], [iv(1, 2), iv(1, 2)]])
+        member_t, _ = oettli_prager_member(
+            a.transpose(), (F(1), F(-2)), SignVector.of((1, -1))
+        )
+        assert member_t.transpose() == RealMatrix([[2, 2], [1, 1]])
+
+    def test_eigenvector_member(self):
+        """A x = (3/2) x for x = (1, -1)."""
+        a = IntervalMatrix([[iv(1, 2), iv(0, 1)], [iv(-1, 1), iv(2, 3)]])
+        x = (F(1), F(-1))
+        member, b = oettli_prager_member(
+            a, x, SignVector.of((1, -1)), IntervalVector.degenerate([F(3, 2), F(-3, 2)])
+        )
+        assert member == RealMatrix([[F(7, 4), F(1, 4)], [F(2, 3), F(13, 6)]])
+        assert b == (F(3, 2), F(-3, 2))
+
+    @pytest.mark.parametrize(
+        "matrix,x,rhs",
+        [
+            # |C x| > R |x|: the member leaves the matrix
+            (
+                IntervalMatrix.from_midpoint_radius(
+                    RealMatrix.identity(2).scale(2), RealMatrix.ones(2, 2).scale(F(1, 4))
+                ),
+                (F(1), F(1)),
+                None,
+            ),
+            # a point row with C x != 0: no member maps x to 0
+            (IntervalMatrix.identity(2), (F(1), F(0)), None),
+            # a point row with C x outside b: b leaves the box
+            (IntervalMatrix.identity(1), (F(3),), IntervalVector([iv(0, 1)])),
+        ],
+        ids=["member-outside", "no-kernel", "rhs-outside"],
+    )
+    def test_tampered_witness_raises(self, matrix, x, rhs):
+        with pytest.raises(AssertionError):
+            oettli_prager_member(matrix, x, SignVector.ones(len(x)), rhs)
+
+    def test_tampered_witness_raises_under_optimize(self):
+        """The checks are explicit raises, so ``python -O`` keeps them."""
+        code = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from intlinalg import IntervalMatrix, RealMatrix\n"
+            "from intlinalg.lp import oettli_prager_member\n"
+            "from intlinalg.matrices import SignVector\n"
+            "assert False, 'asserts must be off'\n"
+            "a = IntervalMatrix.from_midpoint_radius(\n"
+            "    RealMatrix.identity(2).scale(2),\n"
+            "    RealMatrix.ones(2, 2).scale(Fraction(1, 4)))\n"
+            "try:\n"
+            "    oettli_prager_member(a, (Fraction(1), Fraction(1)), SignVector.ones(2))\n"
+            "except AssertionError:\n"
+            "    print('raised')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "raised\n"
