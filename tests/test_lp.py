@@ -173,6 +173,324 @@ class TestVertexOracle:
             assert sol.value == best
 
 
+def _fuzz_programs(count=200, seed=2024):
+    """A seeded corpus of small LPs (2-4 variables) that reaches every path of
+    the simplex: rows with their own denominators, all three relations,
+    negative right-hand sides, redundant equalities (dropped rows after
+    phase 1), free, one-sided, two-sided and crossing bounds, rational
+    objectives, zero slack at the planted point (degenerate Bland ties), and
+    infeasible and unbounded programs."""
+    rng = random.Random(seed)
+    programs = []
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        planted = rng.random() < 0.75
+        point = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+
+        def row_through(rel):
+            den = rng.randint(1, 7)
+            row = tuple(F(rng.randint(-4, 4), den) for _ in range(n))
+            at = sum((c * v for c, v in zip(row, point)), F(0))
+            if not planted:
+                return Constraint(row, rel, F(rng.randint(-6, 6), rng.randint(1, 3)))
+            slack = rng.choice((F(0), F(0), F(rng.randint(1, 5), rng.randint(1, 4))))
+            if rel == LEQ:
+                return Constraint(row, rel, at + slack)
+            return Constraint(row, rel, at - slack if rel == GEQ else at)
+
+        cons = [row_through(rng.choice((LEQ, LEQ, GEQ, EQ)))
+                for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.25:
+            eq = row_through(EQ)
+            q = F(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))
+            cons += [eq, Constraint(tuple(q * c for c in eq.coeffs), EQ, q * eq.rhs)]
+        rng.shuffle(cons)
+        bounds = None
+        if rng.random() < 0.8:
+            bounds = []
+            for v in point:
+                lo = v - F(rng.randint(0, 3), rng.randint(1, 2))
+                hi = v + F(rng.randint(0, 3), rng.randint(1, 2))
+                if not planted and rng.random() < 0.1:
+                    lo, hi = hi + 1, lo
+                bounds.append(
+                    rng.choice(((None, None), (lo, None), (None, hi), (lo, hi), (lo, hi)))
+                )
+        objective = tuple(
+            F(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.9 else F(0)
+            for _ in range(n)
+        )
+        programs.append(LinearProgram(objective, tuple(cons), bounds and tuple(bounds)))
+    return programs
+
+
+# (status, value, x) of lp_optimize and the witness of lp_feasible for each
+# program of _fuzz_programs(), recorded from the Fraction-tableau simplex
+FUZZ_EXPECTED = [
+    ('unbounded', None, None, '3/2 -1 0'),
+    ('optimal', '55/24', '-15/2 13/6 2', '-15/2 13/6 2'),
+    ('optimal', '-1561/48', '-4 -2 3/2 35/24', '-4 -2 3/2 35/24'),
+    ('optimal', '-71/75', '7/75 4 22/25 -48/25', '-7/6 9/2 0 -3/2'),
+    ('infeasible', None, None, None),
+    ('optimal', '65/12', '-1 4 -13/6 -1', '-1 3/4 -13/24 -1'),
+    ('infeasible', None, None, None),
+    ('optimal', '-219/10', '-9/5 67/10 -151/40', '-9/5 67/10 -151/40'),
+    ('unbounded', None, None, '-393/170 -283/170 1177/170 149/170'),
+    ('optimal', '1/2', '-1 3/2 0', '-1 3/2 2'),
+    ('optimal', '-5/8', '4/3 3/2', '4/3 3/2'),
+    ('optimal', '-27/2', '6 -3', '6 -3'),
+    ('optimal', '-109/12', '5/2 -2 -2 47/8', '1 -1/2 -2 25/4'),
+    ('unbounded', None, None, '2 -4 0'),
+    ('unbounded', None, None, '121/25 37/25 64/25 0'),
+    ('infeasible', None, None, None),
+    ('optimal', '-1/24', '3/2 -1/3', '3/2 -1/3'),
+    ('unbounded', None, None, '-5 16/21 -15/14'),
+    ('unbounded', None, None, '23/4 -7/16 -1/2 -1/2'),
+    ('optimal', '-28/3', '-110/9 112/9', '-110/9 112/9'),
+    ('optimal', '653/252', '-124/21 -61/21 -5 31/21', '-286/63 -55/63 -3 61/63'),
+    ('optimal', '-7', '-1 4', '-1/2 5'),
+    ('unbounded', None, None, '14/57 26/19 -5 85/19'),
+    ('optimal', '-5/2', '2 -2 -2', '2 -2 -2'),
+    ('unbounded', None, None, '11/6 -8/3 3 -73/6'),
+    ('optimal', '19/3', '19/12 1/3', '19/12 1/3'),
+    ('unbounded', None, None, '3/2 6 5/4 -23/12'),
+    ('unbounded', None, None, '-133/27 -7/27 -2/9 0'),
+    ('optimal', '7/8', '1/2 -6 -3 3', '1/2 -6 -3 3'),
+    ('optimal', '24', '-8/3 4', '-2/3 4'),
+    ('optimal', '127/12', '35/6 3 8 3', '17/2 5 8 3'),
+    ('unbounded', None, None, '13/2 7/2 2/3'),
+    ('unbounded', None, None, '101/39 -3/2 -43/39'),
+    ('unbounded', None, None, '25/7 -11/28 481/84 0'),
+    ('optimal', '81/8', '-3/4 0 -1/2 -5', '0 0 -1/2 -9/2'),
+    ('unbounded', None, None, '1 0 0'),
+    ('optimal', '-4/3', '-4/3 0', '-4/3 0'),
+    ('optimal', '46/3', '-4 0 4/3', '-3 1 4/3'),
+    ('optimal', '0', '3 -1/2', '4 1/2'),
+    ('optimal', '98/9', '5 -2 4 2/3', '5 -2 4 2/3'),
+    ('optimal', '61/9', '2 4 -2 4/3', '2 4 -2 4/3'),
+    ('unbounded', None, None, '8/3 -13/6 0 0'),
+    ('optimal', '22/3', '2 -4 -1', '2 -4 0'),
+    ('unbounded', None, None, '7/15 -91/60 0 1'),
+    ('unbounded', None, None, '101/25 57/25 206/25 -13/25'),
+    ('optimal', '7', '0 -7', '3 -6'),
+    ('optimal', '-35/9', '4 -3 -1 -5/3', '4 -3 -1 -5/3'),
+    ('unbounded', None, None, '-5 0'),
+    ('unbounded', None, None, '11/3 0 0'),
+    ('infeasible', None, None, None),
+    ('unbounded', None, None, '2 -1/2 3'),
+    ('infeasible', None, None, None),
+    ('optimal', '32/9', '-5/6 1', '-1/3 1'),
+    ('infeasible', None, None, None),
+    ('optimal', '-19/66', '58/33 34/33', '58/33 34/33'),
+    ('optimal', '-5/8', '-1/2 5/2 1', '-1/2 5/2 1'),
+    ('optimal', '13/3', '1 -5/3', '1 -5/3'),
+    ('infeasible', None, None, None),
+    ('optimal', '325/24', '-7/2 -13/6 -5/4 1/4', '-2 0 -3 -5/2'),
+    ('optimal', '7', '5/3 0 5/2 2', '5/3 0 5/2 2'),
+    ('unbounded', None, None, '29/2 -53/4 0'),
+    ('unbounded', None, None, '4/3 6 5/2'),
+    ('optimal', '15/2', '-6 -1', '-6 -1'),
+    ('unbounded', None, None, '7/2 1 -13/2 -4'),
+    ('optimal', '-8/3', '-2/3 -2', '-2/3 -2'),
+    ('optimal', '-7/2', '4 -3/2', '4 -3/2'),
+    ('unbounded', None, None, '1/2 -152/71 444/71 450/71'),
+    ('optimal', '127/6', '-5 2 4', '-4 5 -2'),
+    ('optimal', '-5/6', '-1/2 -1', '-1/2 -1'),
+    ('unbounded', None, None, '47/6 14/3 1 0'),
+    ('optimal', '32/3', '-6 -2', '-5 -1'),
+    ('unbounded', None, None, '-5/2 19/24 7/2 -5/4'),
+    ('optimal', '-4', '9/2 -7', '9/2 -9/2'),
+    ('unbounded', None, None, '-35/2 -143/6 -3 -1/2'),
+    ('optimal', '32', '1 1/2 -8 -5/2', '2 1/2 -7 -5/2'),
+    ('unbounded', None, None, '4 3/2 -6'),
+    ('infeasible', None, None, None),
+    ('optimal', '113/24', '5/6 -1 19/24 -8', '4/3 -1/3 -1 -4'),
+    ('unbounded', None, None, '-5 -3/2'),
+    ('unbounded', None, None, '6 6'),
+    ('optimal', '0', '0 0', '0 0'),
+    ('unbounded', None, None, '1/2 -7/2 -3'),
+    ('optimal', '111/4', '11/2 0 -1/2 -3', '11/2 -3 5/2 -3'),
+    ('optimal', '169/22', '4/3 -39/22 -24/11 -46/11', '-49/15 -93/10 -13/5 0'),
+    ('unbounded', None, None, '-31 2 -9'),
+    ('optimal', '-37/6', '-6 -2/3 2', '-739/123 -181/246 253/123'),
+    ('optimal', '-1/4', '-1/3 -3/2 -1/2', '-1/3 -3/2 -1/2'),
+    ('optimal', '125/12', '3 -25/4 0', '3 -25/4 0'),
+    ('unbounded', None, None, '2 -3 -22/21 -95/42'),
+    ('optimal', '35/8', '19/8 -2', '19/8 1/2'),
+    ('optimal', '77/2', '17/2 0 1', '17/2 0 1'),
+    ('optimal', '-67/6', '-1 5/3 3', '-1 5/3 3'),
+    ('optimal', '-2', '2 -4', '29/2 17/2'),
+    ('optimal', '-73/12', '-11/6 -9/2 -1/2 5/3', '7/6 2 9/2 67/24'),
+    ('optimal', '-4', '2 1/2', '2 1/2'),
+    ('optimal', '-1/7', '3/7 -2 -10/21', '0 -3/2 -1/3'),
+    ('infeasible', None, None, None),
+    ('unbounded', None, None, '43/3 -5 37/3'),
+    ('unbounded', None, None, '-5/2 -2 0 3/2'),
+    ('unbounded', None, None, '133/60 17/30 18/5 0'),
+    ('optimal', '-843/40', '7/6 3 361/30 253/60', '7/6 6 541/30 433/60'),
+    ('unbounded', None, None, '2987/160 -37/160 249/32 433/40'),
+    ('unbounded', None, None, '-3/8 5/2 7/4'),
+    ('unbounded', None, None, '-7/30 -11/15 0'),
+    ('infeasible', None, None, None),
+    ('optimal', '1', '-1/3 -34/3 -4', '-1/3 -7/3 -1'),
+    ('optimal', '-59/120', '-1/10 -13/10', '-1 -1'),
+    ('optimal', '19', '2 -6 0', '2 -6 0'),
+    ('optimal', '17/24', '0 1/2 -11/6 3/2', '0 4/3 -3 9/2'),
+    ('infeasible', None, None, None),
+    ('optimal', '-17/24', '-3 3/4 1/2', '-3 2 11/2'),
+    ('optimal', '0', '0 -10/7 -22/7', '2 -7/3 -4/3'),
+    ('unbounded', None, None, '-437/202 -949/606 37/303 1855/606'),
+    ('optimal', '-5/3', '2 0 2/3 1', '-1/4 3 2/3 1/4'),
+    ('optimal', '-118/9', '-5/6 5 43/6', '2/3 5 26/3'),
+    ('infeasible', None, None, None),
+    ('infeasible', None, None, None),
+    ('optimal', '5/12', '-1 5/3', '-1 5/3'),
+    ('optimal', '15/4', '5 -5', '3 -3'),
+    ('unbounded', None, None, '-2/3 0 0 0'),
+    ('infeasible', None, None, None),
+    ('infeasible', None, None, None),
+    ('optimal', '21/4', '-1/2 1 -1', '5/2 -1/2 -7/4'),
+    ('optimal', '1/2', '1 -5/3 17/12', '1 -5/3 17/12'),
+    ('unbounded', None, None, '-3/2 0 -3/2'),
+    ('unbounded', None, None, '-1 4 1/6 4'),
+    ('optimal', '3', '-3/2 -2 4 4/3', '-3/2 5/6 19/6 1/6'),
+    ('unbounded', None, None, '1 5/2'),
+    ('optimal', '11/4', '-8/3 -1/2 5/3', '-2/3 1 5/3'),
+    ('unbounded', None, None, '5/9 0'),
+    ('optimal', '-77/12', '7/6 -7/24 15/8', '5/3 -2/3 3/2'),
+    ('optimal', '5', '7/6 3 0', '7/6 3 0'),
+    ('unbounded', None, None, '2/3 1/3 7 -7/3'),
+    ('infeasible', None, None, None),
+    ('infeasible', None, None, None),
+    ('unbounded', None, None, '3/2 -29/6 -2 0'),
+    ('optimal', '1/2', '0 -1/2', '0 -1/2'),
+    ('optimal', '-1/6', '6 1/3', '6 1/3'),
+    ('unbounded', None, None, '-95/16 4 13/16 -3'),
+    ('unbounded', None, None, '-37/3 56/3'),
+    ('unbounded', None, None, '1 0 -5'),
+    ('infeasible', None, None, None),
+    ('optimal', '-1', '-2/3 4 2', '0 5 2'),
+    ('optimal', '-11/4', '1 3 -2 -1', '5/2 3/2 -2 -1'),
+    ('optimal', '-29/4', '4 -5/3', '4 -5/3'),
+    ('unbounded', None, None, '1/2 -1 -35/6'),
+    ('optimal', '12', '4 8', '4 8'),
+    ('unbounded', None, None, '-6 3/2 -2 -5'),
+    ('unbounded', None, None, '-3/2 0 3'),
+    ('unbounded', None, None, '-22/9 9/2 0'),
+    ('optimal', '-143/12', '8/3 5', '8/3 5'),
+    ('optimal', '3', '-2 -3/2 -5/3', '-2 -3/2 -5/3'),
+    ('optimal', '17/2', '1 8/3', '1 8/3'),
+    ('optimal', '7/2', '-2 -3/4', '-3/2 0'),
+    ('unbounded', None, None, '-4 1 2/3 -4'),
+    ('optimal', '1027/288', '-121/24 -53/24 -1 11/6', '-121/24 -53/24 -1 11/6'),
+    ('infeasible', None, None, None),
+    ('unbounded', None, None, '-23/12 2/3'),
+    ('infeasible', None, None, None),
+    ('unbounded', None, None, '251/64 -3 77/64 73/16'),
+    ('unbounded', None, None, '3 -2 -10/3 0'),
+    ('unbounded', None, None, '-62/51 -71/17'),
+    ('optimal', '-2/3', '-1/2 4/3 -3', '-19/26 119/78 -5/2'),
+    ('optimal', '0', '1 0', '2 -1'),
+    ('unbounded', None, None, '-5/2 1 0'),
+    ('optimal', '-29/4', '1 3 -1/3 -4', '77/159 455/159 -55/159 -728/159'),
+    ('infeasible', None, None, None),
+    ('unbounded', None, None, '-134/3 -143/6 233/6'),
+    ('optimal', '7/18', '-3/2 0 2/3', '1 0 3/2'),
+    ('unbounded', None, None, '-3 -3 -2 3/2'),
+    ('infeasible', None, None, None),
+    ('unbounded', None, None, '3 5/6 -3'),
+    ('optimal', '365/24', '-11/6 2 -4 1/2', '-11/6 5/8 0 -4/3'),
+    ('optimal', '13', '0 -1/3 -25/2', '-5/2 -1/3 -5'),
+    ('infeasible', None, None, None),
+    ('unbounded', None, None, '77/4 43/4 -109/4 0'),
+    ('optimal', '-85/12', '-2/3 -9/4', '-2/3 -9/4'),
+    ('infeasible', None, None, None),
+    ('optimal', '37/6', '8 -7/2 -5/3', '23/7 -18/7 7/3'),
+    ('optimal', '-5', '-2 -1/3', '-2 -1/3'),
+    ('optimal', '16/5', '-21/10 -3/5', '-11/6 -2/3'),
+    ('infeasible', None, None, None),
+    ('optimal', '-21/4', '1/4 -5/2', '1/4 -5/2'),
+    ('optimal', '-33/2', '3/2 3', '3 4'),
+    ('optimal', '1/6', '-2 1 -1/2 -3', '-3 1 -1/2 -1'),
+    ('optimal', '-5/2', '-5 5/2', '-5 5/2'),
+    ('optimal', '3', '-3/2 -5/3', '-3/2 -5/3'),
+    ('unbounded', None, None, '-37/6 0 0 0'),
+    ('optimal', '77/24', '-1/6 -2/3 2', '-1/6 -2/3 2'),
+    ('unbounded', None, None, '0 -2 -8/3'),
+    ('optimal', '5', '-8/3 1', '-8/3 1'),
+    ('optimal', '-19/4', '-2 -11/4 -5/2', '-2 -11/4 -5/2'),
+    ('unbounded', None, None, '-8/3 0 0 0'),
+    ('infeasible', None, None, None),
+    ('unbounded', None, None, '1 0 1'),
+    ('optimal', '-24', '-8 5', '-8 5'),
+    ('optimal', '20/9', '-13/9 8/9', '-13/9 8/9'),
+    ('unbounded', None, None, '-11/2 0 -275/78 -38/13'),
+    ('optimal', '-20', '-5 -5', '-5 -5'),
+    ('optimal', '113/3', '-101/12 31/4 -7/2 -7', '-1/6 -7/3 -7/2 -17/4'),
+]
+
+
+def _fmt(v):
+    return None if v is None else " ".join(map(str, v))
+
+
+def _as_leq_rows(program):
+    """The program's feasible set as <= rows, bounds included."""
+    rows = []
+    for c in program.constraints:
+        if c.relation != GEQ:
+            rows.append(Constraint(c.coeffs, LEQ, c.rhs))
+        if c.relation != LEQ:
+            rows.append(Constraint(tuple(-v for v in c.coeffs), LEQ, -c.rhs))
+    for j, (lo, hi) in enumerate(program.bounds or ()):
+        unit = tuple(F(1) if t == j else F(0) for t in range(program.nvars))
+        if lo is not None:
+            rows.append(Constraint(tuple(-v for v in unit), LEQ, -lo))
+        if hi is not None:
+            rows.append(Constraint(unit, LEQ, hi))
+    return rows
+
+
+class TestFuzzCorpus:
+    def test_results_match_recorded(self):
+        programs = _fuzz_programs()
+        assert len(programs) == len(FUZZ_EXPECTED)
+        for k, (program, expected) in enumerate(zip(programs, FUZZ_EXPECTED)):
+            sol = lp_optimize(program)
+            feasible = lp_feasible(program)
+            witness = feasible.certificate.witness if feasible.answer else None
+            got = (
+                sol.status,
+                None if sol.value is None else str(sol.value),
+                _fmt(sol.x),
+                _fmt(witness),
+            )
+            assert got == expected, f"program {k}"
+
+    def test_corpus_covers_every_status(self):
+        statuses = {expected[0] for expected in FUZZ_EXPECTED}
+        assert statuses == {"optimal", "unbounded", "infeasible"}
+
+    def test_optima_match_vertex_enumeration(self):
+        for k, program in enumerate(_fuzz_programs()):
+            sol = lp_optimize(program)
+            vertices = _polytope_vertices(_as_leq_rows(program), program.nvars)
+            if sol.status == "infeasible":
+                assert not vertices, f"program {k}"
+                continue
+            if sol.status == "unbounded":
+                continue
+            assert program.feasible_point(sol.x), f"program {k}"
+            value = sum((c * v for c, v in zip(program.objective, sol.x)), F(0))
+            assert value == sol.value, f"program {k}"
+            assert vertices, f"program {k}: every optimum here sits at a vertex"
+            best = max(
+                sum((c * v for c, v in zip(program.objective, x)), F(0))
+                for x in vertices
+            )
+            assert sol.value == best, f"program {k}"
+
+
 class TestContracts:
     def test_ragged_constraint_rejected(self):
         with pytest.raises(MalformedProgram):
