@@ -15,6 +15,7 @@ from typing import List, Optional, Tuple
 
 from .core import Certificate, Decision, Interval, Verdict, as_vector, rational
 from .errors import (
+    DimensionMismatch,
     NotIrreducible,
     NotNonnegative,
     NotPositiveVector,
@@ -137,7 +138,7 @@ def is_eigenvector(matrix: IntervalMatrix, x) -> Decision:
         raise NotSquare("eigenvector membership needs a square matrix")
     xs = as_vector(x)
     if len(xs) != matrix.n:
-        raise ZeroVector(f"vector length {len(xs)} does not match {matrix.n}")
+        raise DimensionMismatch(f"vector length {len(xs)} does not match {matrix.n}")
     if all(v == 0 for v in xs):
         raise ZeroVector("eigenvector candidate must be nonzero")
     lam_range = _eigenvector_lambda_range(matrix, xs)
@@ -181,13 +182,13 @@ def is_perron_vector(matrix: IntervalMatrix, x) -> Decision:
     irreducible interval matrix?"""
     if not matrix.is_square():
         raise NotSquare("Perron membership needs a square matrix")
+    xs = as_vector(x)
+    if len(xs) != matrix.n:
+        raise DimensionMismatch(f"vector length {len(xs)} does not match {matrix.n}")
     if not matrix.lower().is_nonnegative():
         raise NotNonnegative("lower bound matrix must be nonnegative")
     if not _pattern_irreducible(matrix.upper()):
         raise NotIrreducible("upper bound pattern is not strongly connected")
-    xs = as_vector(x)
-    if len(xs) != matrix.n:
-        raise NotPositiveVector("vector length mismatch")
     if any(v <= 0 for v in xs):
         raise NotPositiveVector("Perron candidate must be strictly positive")
     lam_range = _eigenvector_lambda_range(matrix, xs)

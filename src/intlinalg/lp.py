@@ -1,17 +1,25 @@
 """Exact rational linear programming.
 
-Two-phase primal simplex over Fractions with Bland's anti-cycling rule:
-terminating, deterministic, and bit-exact.  Every orthant-decomposition
-decider in the package funnels through this module: ``feasible_orthants``
-is the one sweep, which solves one feasibility LP per sign orthant with the
-signs passed as variable bounds, and ``oettli_prager_rows`` builds the row
-pair of the Oettli-Prager inequality |C x - b_c| <= R |x| + d that those
-LPs share.  ``oettli_prager_member`` inverts those rows: from a witness it
-builds the member system that the witness solves, and checks it.
+Two-phase primal simplex with Bland's anti-cycling rule: terminating,
+deterministic, and bit-exact.  The tableau holds Python ints over one common
+positive denominator, and each pivot divides exactly (integer-preserving
+pivoting: Edmonds 1967, Bareiss 1968), so no Fraction enters a pivot.
+Phase 1 reads only the constraints and bounds, so the last program's phase-1
+end state is kept: further objectives over an equal program, such as the 2n
+of ``hull_exact`` over each feasible orthant, start at phase 2.
+
+Every orthant-decomposition decider in the package funnels through this
+module: ``feasible_orthants`` is the one sweep, which solves one feasibility
+LP per sign orthant with the signs passed as variable bounds, and
+``oettli_prager_rows`` builds the row pair of the Oettli-Prager inequality
+|C x - b_c| <= R |x| + d that those LPs share.  ``oettli_prager_member``
+inverts those rows: from a witness it builds the member system that the
+witness solves, and checks it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
@@ -115,7 +123,8 @@ class LpSolution:
 
 
 class _Standardized:
-    """min c.y  s.t.  Ay = b, y >= 0, plus the recovery map back to x."""
+    """min c.y  s.t.  Ay = b, y >= 0, plus the recovery map back to x and
+    ``phase1``, the end state of ``_phase1`` (None when infeasible)."""
 
     def __init__(self, program: LinearProgram):
         n = program.nvars
@@ -123,11 +132,11 @@ class _Standardized:
         # var_map[j]: ("split", i_pos, i_neg) | ("lo", i, lo) | ("hi", i, hi)
         self.var_map = []
         self.n_std = 0
-        self.trivially_infeasible = False
+        trivially_infeasible = False
         upper_caps: List[Tuple[int, Fraction]] = []  # (std index, cap)
         for lo, hi in bounds:
             if lo is not None and hi is not None and lo > hi:
-                self.trivially_infeasible = True
+                trivially_infeasible = True
             if lo is not None:
                 if hi is not None:
                     upper_caps.append((self.n_std, hi - lo))
@@ -159,18 +168,8 @@ class _Standardized:
             rows.append(row)
             rels.append(LEQ)
             rhs.append(cap)
-
-        cost = [Fraction(0)] * self.n_std
-        self.cost_shift = Fraction(0)
-        for j, coeff in enumerate(program.objective):
-            if coeff == 0:
-                continue
-            self.cost_shift += self._apply(cost, j, coeff)
-        # maximize -> minimize the negation
-        self.cost = [-c for c in cost]
-        self.rows = rows
-        self.rels = rels
-        self.rhs = rhs
+        self.phase1 = (None if trivially_infeasible
+                       else _phase1(rows, rels, rhs, self.n_std))
 
     def _apply(self, row: List[Fraction], j: int, coeff: Fraction) -> Fraction:
         """Add coeff * x_j in standardized variables; return the constant part."""
@@ -185,6 +184,15 @@ class _Standardized:
         row[mapping[1]] -= coeff
         return coeff * mapping[2]
 
+    def cost(self, objective: Sequence[Fraction]) -> Tuple[List[Fraction], Fraction]:
+        """The cost that minimizes -objective . x, and its constant part."""
+        cost = [Fraction(0)] * self.n_std
+        shift = Fraction(0)
+        for j, coeff in enumerate(objective):
+            if coeff != 0:
+                shift += self._apply(cost, j, coeff)
+        return [-c for c in cost], shift
+
     def recover(self, y: Sequence[Fraction]) -> Tuple[Fraction, ...]:
         out = []
         for mapping in self.var_map:
@@ -197,162 +205,178 @@ class _Standardized:
         return tuple(out)
 
 
-def _pivot(tableau: List[List[Fraction]], obj: List[Fraction], row: int, col: int):
-    pivot = tableau[row][col]
-    tableau[row] = [v / pivot for v in tableau[row]]
-    prow = tableau[row]
-    for r, trow in enumerate(tableau):
-        if r == row or trow[col] == 0:
-            continue
-        factor = trow[col]
-        tableau[r] = [v - factor * w for v, w in zip(trow, prow)]
-    if obj[col] != 0:
-        factor = obj[col]
-        for c in range(len(obj)):
-            obj[c] -= factor * prow[c]
+def _pivot(rows: List[List[int]], row: int, col: int, d: int) -> int:
+    """Pivot the integer tableau ``rows`` with denominator d on (row, col).
+
+    Returns the new denominator, kept positive by negating every row after a
+    negative pivot.  Each entry is d times a rational tableau entry, a minor
+    of the integer starting tableau, so the division by d is exact (Edmonds
+    1967; Bareiss 1968).
+    """
+    prow = rows[row]
+    p = prow[col]
+    for r, trow in enumerate(rows):
+        if r != row:
+            f = trow[col]
+            trow[:] = [(v * p - f * w) // d for v, w in zip(trow, prow)]
+    if p < 0:
+        for trow in rows:
+            trow[:] = [-v for v in trow]
+    return abs(p)
 
 
 def _simplex_min(
-    tableau: List[List[Fraction]],
-    obj: List[Fraction],
+    tableau: List[List[int]],
+    obj: List[int],
     basis: List[int],
     allowed: Sequence[bool],
-) -> str:
-    """Bland-rule simplex on a full tableau; obj holds reduced costs + value."""
+    d: int,
+) -> Tuple[str, int]:
+    """Bland-rule simplex on a full integer tableau with denominator d; obj
+    holds d times the reduced costs and minus the value.  Returns the status
+    and the final denominator."""
     ncols = len(obj) - 1
+    rows = tableau + [obj]
     while True:
         enter = next(
             (j for j in range(ncols) if allowed[j] and obj[j] < 0), None
         )
         if enter is None:
-            return OPTIMAL
-        best_row = None
-        best_ratio = None
+            return OPTIMAL, d
+        best = None
         for r, trow in enumerate(tableau):
             a = trow[enter]
             if a <= 0:
                 continue
-            ratio = trow[-1] / a
-            if (
-                best_ratio is None
-                or ratio < best_ratio
-                or (ratio == best_ratio and basis[r] < basis[best_row])
-            ):
-                best_ratio = ratio
-                best_row = r
-        if best_row is None:
-            return UNBOUNDED
-        _pivot(tableau, obj, best_row, enter)
-        basis[best_row] = enter
+            if best is None:
+                best = r
+                continue
+            # trow[-1] / a against the best ratio, cross-multiplied
+            lhs = trow[-1] * tableau[best][enter]
+            rhs = tableau[best][-1] * a
+            if lhs < rhs or (lhs == rhs and basis[r] < basis[best]):
+                best = r
+        if best is None:
+            return UNBOUNDED, d
+        d = _pivot(rows, best, enter, d)
+        basis[best] = enter
 
 
-def _solve_standard(
-    rows: List[List[Fraction]],
-    rels: List[str],
-    rhs: List[Fraction],
-    cost: List[Fraction],
-) -> LpSolution:
-    """min cost.y  s.t.  rows y (rel) rhs, y >= 0."""
+def _phase1(
+    rows: List[List[Fraction]], rels: List[str], rhs: List[Fraction], n: int
+) -> Optional[Tuple[List[List[int]], List[int], int, int, int]]:
+    """Phase 1 for rows y (rel) rhs, y >= 0, on an integer tableau.
+
+    Returns (tableau, basis, d, n_cols, width) at a feasible basis with no
+    artificial in it, or None if infeasible; the width columns are n_cols
+    variables and slacks, the artificials and the right-hand side.  All rows
+    are scaled by one common multiple of their denominators, slack and
+    artificial columns stay at +-1: that scales each column uniformly, so
+    Bland's rule takes the pivots of the rational tableau.
+    """
     m = len(rows)
-    n = len(cost)
-    # slack/surplus columns, then one artificial per row
     n_slack = sum(1 for rel in rels if rel != EQ)
-    total = n + n_slack + m
-    tableau: List[List[Fraction]] = []
+    n_cols = n + n_slack
+    scale = math.lcm(*(v.denominator for row in rows for v in row),
+                     *(v.denominator for v in rhs))
+    tableau: List[List[int]] = []
     slack_at = 0
     for i in range(m):
-        row = list(rows[i]) + [Fraction(0)] * (n_slack + m) + [rhs[i]]
-        if rels[i] == LEQ:
-            row[n + slack_at] = Fraction(1)
-            slack_at += 1
-        elif rels[i] == GEQ:
-            row[n + slack_at] = Fraction(-1)
+        row = [v.numerator * (scale // v.denominator) for v in (*rows[i], rhs[i])]
+        row[n:n] = [0] * (n_slack + m)
+        if rels[i] != EQ:
+            row[n + slack_at] = 1 if rels[i] == LEQ else -1
             slack_at += 1
         if row[-1] < 0:
             row = [-v for v in row]
-        row[n + n_slack + i] = Fraction(1)
+        row[n_cols + i] = 1
         tableau.append(row)
-    basis = [n + n_slack + i for i in range(m)]
+    basis = [n_cols + i for i in range(m)]
+    width = n_cols + m + 1
 
-    # phase 1: minimize the artificial sum
-    obj = [Fraction(0)] * (total + 1)
-    for j in range(total):
-        col_sum = sum((tableau[i][j] for i in range(m)), Fraction(0))
-        if j >= n + n_slack:
-            col_sum -= Fraction(1)
-        obj[j] = -col_sum
-    obj[-1] = -sum((tableau[i][-1] for i in range(m)), Fraction(0))
-    allowed = [True] * total
-    status = _simplex_min(tableau, obj, basis, allowed)
-    assert status == OPTIMAL  # phase 1 is bounded below by 0
-    if -obj[-1] != 0:
-        return LpSolution(INFEASIBLE)
+    # minimize the artificial sum: reduced costs are minus the column sums
+    obj = [-sum(col) for col in zip(*tableau, [0] * width)]
+    obj[n_cols:-1] = [0] * m
+    status, d = _simplex_min(tableau, obj, basis, [True] * (width - 1), 1)
+    if status != OPTIMAL:
+        raise AssertionError("phase 1 is bounded below by 0 but read unbounded")
+    if obj[-1] != 0:
+        return None
 
-    # drive remaining artificials out of the basis
-    drop_rows = []
+    # drive remaining artificials out of the basis; drop the rows they cannot leave
+    keep = []
     for r in range(m):
-        if basis[r] < n + n_slack:
-            continue
-        col = next(
-            (j for j in range(n + n_slack) if tableau[r][j] != 0), None
-        )
-        if col is None:
-            drop_rows.append(r)
-        else:
-            _pivot(tableau, obj, r, col)
+        if basis[r] >= n_cols:
+            col = next((j for j in range(n_cols) if tableau[r][j] != 0), None)
+            if col is None:
+                continue
+            d = _pivot(tableau, r, col, d)
             basis[r] = col
-    if drop_rows:
-        tableau = [row for r, row in enumerate(tableau) if r not in drop_rows]
-        basis = [b for r, b in enumerate(basis) if r not in drop_rows]
+        keep.append(r)
+    return [tableau[r] for r in keep], [basis[r] for r in keep], d, n_cols, width
 
-    # phase 2
-    for j in range(n + n_slack, total):
-        allowed[j] = False
-    obj = [Fraction(0)] * (total + 1)
-    for j in range(total):
-        obj[j] = cost[j] if j < n else Fraction(0)
-    value = Fraction(0)
+
+def _phase2(
+    phase1: Tuple[List[List[int]], List[int], int, int, int], cost: List[Fraction]
+) -> LpSolution:
+    """min cost.y from the end state of ``_phase1``, which it leaves unchanged."""
+    tableau, basis, d, n_cols, width = phase1
+    tableau = [list(row) for row in tableau]
+    basis = list(basis)
+    k = math.lcm(*(c.denominator for c in cost))
+    c = [int(v * k) for v in cost] + [0] * (width - len(cost))
+    obj = [v * d for v in c]
     for r, b in enumerate(basis):
-        cb = cost[b] if b < n else Fraction(0)
-        if cb == 0:
-            continue
-        value += cb * tableau[r][-1]
-        for j in range(total):
-            obj[j] -= cb * tableau[r][j]
-    obj[-1] = -value
-    status = _simplex_min(tableau, obj, basis, allowed)
+        if c[b]:
+            obj = [o - c[b] * t for o, t in zip(obj, tableau[r])]
+    allowed = [j < n_cols for j in range(width - 1)]
+    status, d = _simplex_min(tableau, obj, basis, allowed, d)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED)
-    y = [Fraction(0)] * (n + n_slack)
+    y = [Fraction(0)] * len(cost)
     for r, b in enumerate(basis):
-        if b < n + n_slack:
-            y[b] = tableau[r][-1]
-    return LpSolution(OPTIMAL, value=-obj[-1], x=tuple(y[:n]))
+        if b < len(cost):
+            y[b] = Fraction(tableau[r][-1], d)
+    return LpSolution(OPTIMAL, value=Fraction(-obj[-1], d * k), x=tuple(y))
+
+
+# The last standard form, kept for its phase-1 end state: hull_exact optimizes
+# 2n objectives over each program that feasible_orthants has just found
+# feasible, and phase 1 reads only the constraints and bounds.
+_last_standardized: Optional[Tuple[tuple, _Standardized]] = None
+
+
+def _standardize(program: LinearProgram) -> _Standardized:
+    """The program's standard form, reused when the last one is equal."""
+    global _last_standardized
+    key = (program.nvars, program.constraints, program.bounds)
+    last = _last_standardized
+    if last is None or last[0] != key:
+        last = _last_standardized = (key, _Standardized(program))
+    return last[1]
 
 
 def lp_optimize(program: LinearProgram) -> LpSolution:
     """Exact optimum of a maximization program (or infeasible/unbounded)."""
-    std = _Standardized(program)
-    if std.trivially_infeasible:
+    std = _standardize(program)
+    if std.phase1 is None:
         return LpSolution(INFEASIBLE)
-    sol = _solve_standard(std.rows, std.rels, std.rhs, std.cost)
+    cost, shift = std.cost(program.objective)
+    sol = _phase2(std.phase1, cost)
     if sol.status != OPTIMAL:
         return sol
-    x = std.recover(sol.x)
-    value = -sol.value + std.cost_shift
-    return LpSolution(OPTIMAL, value=value, x=x)
+    return LpSolution(OPTIMAL, value=-sol.value + shift, x=std.recover(sol.x))
 
 
 def lp_feasible(program: LinearProgram) -> Decision:
     """Feasibility with an exact witness on success."""
-    std = _Standardized(program)
-    if std.trivially_infeasible:
+    std = _standardize(program)
+    if std.phase1 is None:
         return Decision(False)
-    sol = _solve_standard(std.rows, std.rels, std.rhs, [Fraction(0)] * std.n_std)
-    if sol.status != OPTIMAL:
-        return Decision(False)
+    sol = _phase2(std.phase1, [Fraction(0)] * std.n_std)
     x = std.recover(sol.x)
-    assert program.feasible_point(x)
+    if not program.feasible_point(x):
+        raise AssertionError("the simplex returned a point outside the program")
     return Decision(True, Certificate(witness=x))
 
 

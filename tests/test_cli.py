@@ -38,6 +38,8 @@ def files(tmp_path):
     write("bidiag.imx", "2 2\n1:2 0\n0:1 1\n")
     write("rhs.imx", "2 1\n1\n0\n")
     write("x.imx", "2 1\n1\n0\n")
+    write("x3.imx", "3 1\n1\n1\n1\n")
+    write("swap.imx", "2 2\n0 1\n1 0\n")
     write("scalar.imx", "1 1\n1:2\n")
     write("scalar_rhs.imx", "1 1\n1\n")
     write("bad.imx", "2 2\n1 2\n3\n")
@@ -291,6 +293,13 @@ class TestExitCodes:
     def test_precondition_is_3(self, files):
         code, _, _ = invoke("det", files["sharaya.imx"])
         assert code == 3
+
+    @pytest.mark.parametrize("perron", [False, True], ids=["eigenvector", "perron"])
+    def test_vector_length_mismatch_is_3(self, files, perron):
+        argv = ["eig", files["swap.imx"], "--vector", files["x3.imx"]]
+        code, fields, _ = invoke(*argv, *(["--perron"] if perron else []))
+        assert code == 3
+        assert fields["error"].startswith("DimensionMismatch: ")
 
     def test_unknown_is_2(self, files):
         code, _, _ = invoke("check", "weak-pd", files["wide.imx"])

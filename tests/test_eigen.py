@@ -25,6 +25,7 @@ from intlinalg import (
     weak_pd,
 )
 from intlinalg.errors import (
+    DimensionMismatch,
     NotIrreducible,
     NotNonnegative,
     NotPositiveVector,
@@ -99,6 +100,10 @@ class TestIsEigenvector:
         with pytest.raises(ZeroVector):
             is_eigenvector(IntervalMatrix.identity(2), [0, 0])
 
+    def test_wrong_length_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            is_eigenvector(IntervalMatrix.identity(2), [1, 0, 0])
+
     def test_sampling_agrees(self):
         rng = random.Random(15)
         for seed in range(10):
@@ -157,6 +162,15 @@ class TestPerron:
         red = IntervalMatrix.degenerate(RealMatrix([[1, 1], [0, 1]]))
         with pytest.raises(NotIrreducible):
             is_perron_vector(red, [1, 1])
+
+    def test_wrong_length_rejected(self):
+        p = IntervalMatrix.degenerate(RealMatrix([[0, 1], [1, 0]]))
+        with pytest.raises(DimensionMismatch):
+            is_perron_vector(p, [1, 1, 1])
+        # the length is checked before the matrix class
+        red = IntervalMatrix.degenerate(RealMatrix([[1, 1], [0, 1]]))
+        with pytest.raises(DimensionMismatch):
+            is_perron_vector(red, [1, 1, 1])
 
     def test_interval_family(self):
         a = IntervalMatrix(

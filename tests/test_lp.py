@@ -19,10 +19,12 @@ from intlinalg import (
     lp_optimize,
 )
 from intlinalg.errors import MalformedProgram
+from intlinalg import lp
 from intlinalg.lp import EQ, GEQ, LEQ, oettli_prager_member
 from intlinalg.matrices import RealMatrix, SignVector
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SRC = os.path.join(ROOT, "src")
 
 
 def F(a, b=1):
@@ -467,6 +469,23 @@ class TestFuzzCorpus:
             )
             assert got == expected, f"program {k}"
 
+    def test_rows_share_one_scale(self):
+        """Scaling each row by the multiple of its own denominators would
+        change the phase-1 objective.  In about 2 of 1000 programs drawn like
+        the corpus that changes the witness, as here (recorded from the
+        Fraction tableau)."""
+        p = LinearProgram(
+            (F(1, 3), F(1, 4)),
+            (
+                Constraint((F(-2), F(1, 2)), GEQ, F(-9, 2)),
+                Constraint((F(1, 4), F(-1, 4)), LEQ, F(3, 4)),
+                Constraint((F(1, 10), F(-1, 5)), LEQ, F(31, 15)),
+            ),
+            bounds=((None, F(2)), (F(-3), None)),
+        )
+        assert lp_feasible(p).certificate.witness == (0, -3)
+        assert lp_optimize(p).status == "unbounded"
+
     def test_corpus_covers_every_status(self):
         statuses = {expected[0] for expected in FUZZ_EXPECTED}
         assert statuses == {"optimal", "unbounded", "infeasible"}
@@ -489,6 +508,80 @@ class TestFuzzCorpus:
                 for x in vertices
             )
             assert sol.value == best, f"program {k}"
+
+
+def _cold(solve, program):
+    """solve(program) with no standard form kept from an earlier call."""
+    lp._last_standardized = None
+    return solve(program)
+
+
+def _with_objective(program, objective):
+    return LinearProgram(objective, program.constraints, program.bounds)
+
+
+class TestPhase1Cache:
+    """lp keeps the last program's phase-1 end state; reusing it must give
+    exactly what a cold solve gives."""
+
+    def test_interleaved_calls_equal_cold_solves(self):
+        programs = _fuzz_programs()
+        for k, (p, q) in enumerate(zip(programs, programs[1:])):
+            p2 = _with_objective(p, tuple(-c for c in p.objective))
+            warm = (lp_feasible(p), lp_optimize(q), lp_optimize(p2))
+            cold = (
+                _cold(lp_feasible, p), _cold(lp_optimize, q), _cold(lp_optimize, p2)
+            )
+            assert warm == cold, f"programs {k}, {k + 1}"
+
+    def test_repeated_optimize_leaves_the_cache_intact(self):
+        for k, p in enumerate(_fuzz_programs()[:60]):
+            other = _with_objective(p, tuple(reversed(p.objective)))
+            first = lp_optimize(p)
+            for _ in range(3):
+                assert lp_optimize(p) == first, f"program {k}"
+                lp_optimize(other)
+            assert lp_optimize(p) == _cold(lp_optimize, p), f"program {k}"
+
+    @pytest.fixture()
+    def phase1_runs(self, monkeypatch):
+        runs = []
+        real = lp._phase1
+
+        def counted(*args):
+            runs.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lp, "_phase1", counted)
+        lp._last_standardized = None
+        return runs
+
+    def test_equal_program_hits(self, phase1_runs):
+        p = _fuzz_programs()[1]
+        twin = LinearProgram(
+            tuple(reversed(p.objective)),
+            tuple(
+                Constraint(tuple(c.coeffs), c.relation, c.rhs) for c in p.constraints
+            ),
+            tuple(tuple(b) for b in p.bounds) if p.bounds else None,
+        )
+        assert twin.constraints is not p.constraints
+        assert lp_feasible(p).answer
+        assert lp_optimize(twin) == _cold(lp_optimize, twin)
+        assert len(phase1_runs) == 2  # the first call and the cold solve
+
+    def test_other_bounds_or_arity_miss(self, phase1_runs):
+        rows = (Constraint((F(1), F(1)), LEQ, F(4)),)
+        lower = LinearProgram((F(2), F(1)), rows, ((F(0), None), (F(0), None)))
+        upper = LinearProgram((F(2), F(1)), rows, ((F(0), F(1)), (F(0), None)))
+        assert lp_optimize(lower).value == 8
+        assert lp_optimize(upper).value == 5
+        assert len(phase1_runs) == 2
+        # no rows and no bounds: only the variable count tells these apart
+        for n in (1, 2):
+            free = LinearProgram(tuple([F(0)] * n), ())
+            assert lp_feasible(free).certificate.witness == tuple([F(0)] * n)
+        assert len(phase1_runs) == 4
 
 
 class TestContracts:
@@ -605,3 +698,58 @@ class TestOettliPragerMember:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == "raised\n"
+
+
+class TestUnderOptimize:
+    """The checks in lp are explicit raises, so ``python -O`` keeps them."""
+
+    def test_checks_raise_under_optimize(self):
+        code = (
+            "from fractions import Fraction\n"
+            "from intlinalg import Constraint, LinearProgram, lp_feasible\n"
+            "from intlinalg import lp\n"
+            "assert False, 'asserts must be off'\n"
+            "p = LinearProgram((Fraction(0),), (Constraint((1,), '<=', 1),),\n"
+            "                  ((0, None),))\n"
+            "real = lp._simplex_min, lp._phase2\n"
+            "lp._simplex_min = lambda *args: (lp.UNBOUNDED, 1)\n"
+            "try:\n"
+            "    lp_feasible(p)\n"
+            "except AssertionError:\n"
+            "    print('phase 1 raised')\n"
+            "lp._simplex_min = real[0]\n"
+            "lp._phase2 = lambda phase1, cost: lp.LpSolution(\n"
+            "    lp.OPTIMAL, Fraction(0), (Fraction(5),) * len(cost))\n"
+            "try:\n"
+            "    lp_feasible(p)\n"
+            "except AssertionError:\n"
+            "    print('witness raised')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "phase 1 raised\nwitness raised\n"
+
+    def test_suite_passes_under_optimize(self):
+        """The LP and orthant-sweep tests, run again with asserts off."""
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+        done = subprocess.run(
+            [
+                sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                "tests/test_lp.py", "tests/test_orthant_sweeps.py",
+                "-k", "not test_suite_passes_under_optimize",
+            ],
+            cwd=os.path.abspath(ROOT),
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+        assert " passed" in done.stdout and "failed" not in done.stdout
