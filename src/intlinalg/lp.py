@@ -295,6 +295,7 @@ def _phase1(
     width = n_cols + m + 1
 
     # minimize the artificial sum: reduced costs are minus the column sums
+    # (the zero row keeps the width when there are no rows)
     obj = [-sum(col) for col in zip(*tableau, [0] * width)]
     obj[n_cols:-1] = [0] * m
     status, d = _simplex_min(tableau, obj, basis, [True] * (width - 1), 1)

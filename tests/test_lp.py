@@ -711,13 +711,13 @@ class TestUnderOptimize:
             "assert False, 'asserts must be off'\n"
             "p = LinearProgram((Fraction(0),), (Constraint((1,), '<=', 1),),\n"
             "                  ((0, None),))\n"
-            "real = lp._simplex_min, lp._phase2\n"
+            "real = lp._simplex_min\n"
             "lp._simplex_min = lambda *args: (lp.UNBOUNDED, 1)\n"
             "try:\n"
             "    lp_feasible(p)\n"
             "except AssertionError:\n"
             "    print('phase 1 raised')\n"
-            "lp._simplex_min = real[0]\n"
+            "lp._simplex_min = real\n"
             "lp._phase2 = lambda phase1, cost: lp.LpSolution(\n"
             "    lp.OPTIMAL, Fraction(0), (Fraction(5),) * len(cost))\n"
             "try:\n"
