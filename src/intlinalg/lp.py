@@ -3,18 +3,21 @@
 Two-phase primal simplex with Bland's anti-cycling rule: terminating,
 deterministic, and bit-exact.  The tableau holds Python ints over one common
 positive denominator, and each pivot divides exactly (integer-preserving
-pivoting: Edmonds 1967, Bareiss 1968), so no Fraction enters a pivot.
-Phase 1 reads only the constraints and bounds, so the last program's phase-1
-end state is kept: further objectives over an equal program, such as the 2n
-of ``hull_exact`` over each feasible orthant, start at phase 2.
+pivoting: Edmonds 1967, Bareiss 1968), so no Fraction enters a pivot.  The
+standard form is written in integer rows directly, scaled once by a common
+multiple of the denominators.  Phase 1 reads only the constraints and
+bounds, so the last program's phase-1 end state is kept, without the
+artificial columns that phase 2 never enters: further objectives over an
+equal program, such as the 2n of ``hull_exact`` over each feasible orthant,
+start at phase 2.
 
 Every orthant-decomposition decider in the package funnels through this
 module: ``feasible_orthants`` is the one sweep, which solves one feasibility
 LP per sign orthant with the signs passed as variable bounds, and
-``oettli_prager_rows`` builds the row pair of the Oettli-Prager inequality
-|C x - b_c| <= R |x| + d that those LPs share.  ``oettli_prager_member``
-inverts those rows: from a witness it builds the member system that the
-witness solves, and checks it.
+``oettli_prager_rows``, built once per sweep, gives each orthant the row
+pairs of the Oettli-Prager inequality |C x - b_c| <= R |x| + d that those
+LPs share.  ``oettli_prager_member`` inverts those rows: from a witness it
+builds the member system that the witness solves, and checks it.
 """
 
 from __future__ import annotations
@@ -123,8 +126,13 @@ class LpSolution:
 
 
 class _Standardized:
-    """min c.y  s.t.  Ay = b, y >= 0, plus the recovery map back to x and
-    ``phase1``, the end state of ``_phase1`` (None when infeasible)."""
+    """min c.y  s.t.  A y (rel) b, y >= 0, plus the recovery map back to x and
+    ``phase1``, the end state of ``_phase1`` (None when infeasible).
+
+    The rows [A | b] are written in integers: one common multiple of the
+    denominators of the coefficients, the shifted right-hand sides and the
+    caps scales them all, so no Fraction row is built.
+    """
 
     def __init__(self, program: LinearProgram):
         n = program.nvars
@@ -149,49 +157,48 @@ class _Standardized:
                 self.var_map.append(("split", self.n_std, self.n_std + 1))
                 self.n_std += 2
 
-        rows: List[List[Fraction]] = []
-        rels: List[str] = []
-        rhs: List[Fraction] = []
-        for con in program.constraints:
-            row = [Fraction(0)] * self.n_std
-            shift = Fraction(0)
-            for j, coeff in enumerate(con.coeffs):
-                if coeff == 0:
-                    continue
-                shift += self._apply(row, j, coeff)
+        # x_j = lo + y or hi - y moves lo or hi to the right-hand side
+        offsets = [(j, m[2]) for j, m in enumerate(self.var_map)
+                   if m[0] != "split" and m[2]]
+        shifted = [con.rhs - sum(con.coeffs[j] * v for j, v in offsets)
+                   if offsets else con.rhs for con in program.constraints]
+        scale = math.lcm(
+            *(c.denominator for con in program.constraints for c in con.coeffs),
+            *(v.denominator for v in shifted),
+            *(cap.denominator for _, cap in upper_caps),
+        )
+        rows: List[List[int]] = []
+        for con, rhs in zip(program.constraints, shifted):
+            row = [0] * self.n_std
+            for coeff, (kind, i, k) in zip(con.coeffs, self.var_map):
+                if coeff:
+                    v = coeff.numerator * (scale // coeff.denominator)
+                    row[i] = -v if kind == "hi" else v
+                    if kind == "split":
+                        row[k] = -v
+            row.append(rhs.numerator * (scale // rhs.denominator))
             rows.append(row)
-            rels.append(con.relation)
-            rhs.append(con.rhs - shift)
         for idx, cap in upper_caps:
-            row = [Fraction(0)] * self.n_std
-            row[idx] = Fraction(1)
+            row = [0] * self.n_std
+            row[idx] = scale
+            row.append(cap.numerator * (scale // cap.denominator))
             rows.append(row)
-            rels.append(LEQ)
-            rhs.append(cap)
+        rels = [con.relation for con in program.constraints] + [LEQ] * len(upper_caps)
         self.phase1 = (None if trivially_infeasible
-                       else _phase1(rows, rels, rhs, self.n_std))
-
-    def _apply(self, row: List[Fraction], j: int, coeff: Fraction) -> Fraction:
-        """Add coeff * x_j in standardized variables; return the constant part."""
-        mapping = self.var_map[j]
-        if mapping[0] == "split":
-            row[mapping[1]] += coeff
-            row[mapping[2]] -= coeff
-            return Fraction(0)
-        if mapping[0] == "lo":
-            row[mapping[1]] += coeff
-            return coeff * mapping[2]
-        row[mapping[1]] -= coeff
-        return coeff * mapping[2]
+                       else _phase1(rows, rels, self.n_std))
 
     def cost(self, objective: Sequence[Fraction]) -> Tuple[List[Fraction], Fraction]:
         """The cost that minimizes -objective . x, and its constant part."""
         cost = [Fraction(0)] * self.n_std
         shift = Fraction(0)
-        for j, coeff in enumerate(objective):
-            if coeff != 0:
-                shift += self._apply(cost, j, coeff)
-        return [-c for c in cost], shift
+        for coeff, (kind, i, k) in zip(objective, self.var_map):
+            if coeff:
+                cost[i] = coeff if kind == "hi" else -coeff
+                if kind == "split":
+                    cost[k] = coeff
+                else:
+                    shift += coeff * k
+        return cost, shift
 
     def recover(self, y: Sequence[Fraction]) -> Tuple[Fraction, ...]:
         out = []
@@ -211,14 +218,19 @@ def _pivot(rows: List[List[int]], row: int, col: int, d: int) -> int:
     Returns the new denominator, kept positive by negating every row after a
     negative pivot.  Each entry is d times a rational tableau entry, a minor
     of the integer starting tableau, so the division by d is exact (Edmonds
-    1967; Bareiss 1968).
+    1967; Bareiss 1968).  A row with a zero in the pivot column only moves
+    to the new denominator, and not at all when p == d.
     """
     prow = rows[row]
     p = prow[col]
     for r, trow in enumerate(rows):
-        if r != row:
-            f = trow[col]
+        if r == row:
+            continue
+        f = trow[col]
+        if f:
             trow[:] = [(v * p - f * w) // d for v, w in zip(trow, prow)]
+        elif p != d:
+            trow[:] = [v * p // d for v in trow]
     if p < 0:
         for trow in rows:
             trow[:] = [-v for v in trow]
@@ -229,7 +241,6 @@ def _simplex_min(
     tableau: List[List[int]],
     obj: List[int],
     basis: List[int],
-    allowed: Sequence[bool],
     d: int,
 ) -> Tuple[str, int]:
     """Bland-rule simplex on a full integer tableau with denominator d; obj
@@ -238,9 +249,7 @@ def _simplex_min(
     ncols = len(obj) - 1
     rows = tableau + [obj]
     while True:
-        enter = next(
-            (j for j in range(ncols) if allowed[j] and obj[j] < 0), None
-        )
+        enter = next((j for j in range(ncols) if obj[j] < 0), None)
         if enter is None:
             return OPTIMAL, d
         best = None
@@ -263,26 +272,24 @@ def _simplex_min(
 
 
 def _phase1(
-    rows: List[List[Fraction]], rels: List[str], rhs: List[Fraction], n: int
-) -> Optional[Tuple[List[List[int]], List[int], int, int, int]]:
-    """Phase 1 for rows y (rel) rhs, y >= 0, on an integer tableau.
+    rows: List[List[int]], rels: List[str], n: int
+) -> Optional[Tuple[List[List[int]], List[int], int, int]]:
+    """Phase 1 for integer rows [a | b] meaning a.y (rel) b, y >= 0.
 
-    Returns (tableau, basis, d, n_cols, width) at a feasible basis with no
-    artificial in it, or None if infeasible; the width columns are n_cols
-    variables and slacks, the artificials and the right-hand side.  All rows
-    are scaled by one common multiple of their denominators, slack and
-    artificial columns stay at +-1: that scales each column uniformly, so
-    Bland's rule takes the pivots of the rational tableau.
+    Returns (tableau, basis, d, n_cols) at a feasible basis with no
+    artificial in it, or None if infeasible; each tableau row holds the n_cols
+    variables and slacks and then the right-hand side.  Slack and artificial
+    columns enter at +-1; with rows scaled by one common multiple of their
+    denominators, that scales each column uniformly, so Bland's rule takes
+    the pivots of the rational tableau.  Phase 2 never enters an artificial,
+    so the artificial columns are dropped from the end state.
     """
     m = len(rows)
     n_slack = sum(1 for rel in rels if rel != EQ)
     n_cols = n + n_slack
-    scale = math.lcm(*(v.denominator for row in rows for v in row),
-                     *(v.denominator for v in rhs))
     tableau: List[List[int]] = []
     slack_at = 0
-    for i in range(m):
-        row = [v.numerator * (scale // v.denominator) for v in (*rows[i], rhs[i])]
+    for i, row in enumerate(rows):
         row[n:n] = [0] * (n_slack + m)
         if rels[i] != EQ:
             row[n + slack_at] = 1 if rels[i] == LEQ else -1
@@ -298,7 +305,7 @@ def _phase1(
     # (the zero row keeps the width when there are no rows)
     obj = [-sum(col) for col in zip(*tableau, [0] * width)]
     obj[n_cols:-1] = [0] * m
-    status, d = _simplex_min(tableau, obj, basis, [True] * (width - 1), 1)
+    status, d = _simplex_min(tableau, obj, basis, 1)
     if status != OPTIMAL:
         raise AssertionError("phase 1 is bounded below by 0 but read unbounded")
     if obj[-1] != 0:
@@ -314,24 +321,25 @@ def _phase1(
             d = _pivot(tableau, r, col, d)
             basis[r] = col
         keep.append(r)
-    return [tableau[r] for r in keep], [basis[r] for r in keep], d, n_cols, width
+    return ([tableau[r][:n_cols] + tableau[r][-1:] for r in keep],
+            [basis[r] for r in keep], d, n_cols)
 
 
 def _phase2(
-    phase1: Tuple[List[List[int]], List[int], int, int, int], cost: List[Fraction]
+    phase1: Tuple[List[List[int]], List[int], int, int], cost: List[Fraction]
 ) -> LpSolution:
     """min cost.y from the end state of ``_phase1``, which it leaves unchanged."""
-    tableau, basis, d, n_cols, width = phase1
+    tableau, basis, d, n_cols = phase1
     tableau = [list(row) for row in tableau]
     basis = list(basis)
     k = math.lcm(*(c.denominator for c in cost))
-    c = [int(v * k) for v in cost] + [0] * (width - len(cost))
+    c = [v.numerator * (k // v.denominator) for v in cost]
+    c += [0] * (n_cols + 1 - len(cost))
     obj = [v * d for v in c]
     for r, b in enumerate(basis):
         if c[b]:
             obj = [o - c[b] * t for o, t in zip(obj, tableau[r])]
-    allowed = [j < n_cols for j in range(width - 1)]
-    status, d = _simplex_min(tableau, obj, basis, allowed, d)
+    status, d = _simplex_min(tableau, obj, basis, d)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED)
     y = [Fraction(0)] * len(cost)
@@ -384,26 +392,34 @@ def lp_feasible(program: LinearProgram) -> Decision:
 def oettli_prager_rows(
     center: RealMatrix,
     radius: RealMatrix,
-    s: SignVector,
     b_mid: Optional[Sequence[Fraction]] = None,
     b_rad: Optional[Sequence[Fraction]] = None,
-) -> List[Constraint]:
-    """|C x - b_c| <= R |x| + d on the orthant of s, as two rows per row of C.
+) -> Callable[[SignVector], List[Constraint]]:
+    """|C x - b_c| <= R |x| + d on each orthant, as two rows per row of C.
 
-    With |x| = D_s x the pair is (C - R D_s) x <= b_c + d followed by
-    (-C - R D_s) x <= -b_c + d; b_c and d default to zero.
+    Returns rows_for(s).  With |x| = D_s x the pair is (C - R D_s) x <= b_c + d
+    followed by (-C - R D_s) x <= -b_c + d; b_c and d default to zero.  Both
+    column pairs, (c - r, -c - r) for s_j = 1 and (c + r, -c + r) for
+    s_j = -1, and both right-hand sides are computed here once, so an orthant
+    only picks entries.
     """
-    m, n = center.shape
-    rows = []
-    for i in range(m):
-        c, r = center.rows[i], radius.rows[i]
-        bc = Fraction(0) if b_mid is None else b_mid[i]
-        d = Fraction(0) if b_rad is None else b_rad[i]
-        up = tuple(c[j] - r[j] * s[j] for j in range(n))
-        down = tuple(-c[j] - r[j] * s[j] for j in range(n))
-        rows.append(Constraint(up, LEQ, bc + d))
-        rows.append(Constraint(down, LEQ, d - bc))
-    return rows
+    zero = Fraction(0)
+    picks = []
+    for i, (c_row, r_row) in enumerate(zip(center.rows, radius.rows)):
+        bc = zero if b_mid is None else b_mid[i]
+        d = zero if b_rad is None else b_rad[i]
+        pairs = [((c - r, -c - r), (c + r, -c + r)) for c, r in zip(c_row, r_row)]
+        picks.append((pairs, bc + d, d - bc))
+
+    def rows_for(s: SignVector) -> List[Constraint]:
+        rows = []
+        for pairs, up_rhs, down_rhs in picks:
+            cols = [pair[e < 0] for pair, e in zip(pairs, s)]
+            rows.append(Constraint(tuple(col[0] for col in cols), LEQ, up_rhs))
+            rows.append(Constraint(tuple(col[1] for col in cols), LEQ, down_rhs))
+        return rows
+
+    return rows_for
 
 
 def oettli_prager_member(

@@ -38,11 +38,11 @@ def _kernel_decision(matrix: IntervalMatrix) -> Decision:
 
     Per orthant: -R D_s x <= C x <= R D_s x and e^T D_s x >= 1.
     """
-    center, radius = matrix.midpoint_radius()
+    pairs_for = oettli_prager_rows(*matrix.midpoint_radius())
 
     def rows_for(s: SignVector):
         nonzero = Constraint(tuple(Fraction(e) for e in s), GEQ, Fraction(1))
-        return oettli_prager_rows(center, radius, s) + [nonzero]
+        return pairs_for(s) + [nonzero]
 
     hit = next(feasible_orthants(matrix.n, rows_for), None)
     if hit is None:

@@ -155,7 +155,7 @@ def hull_exact(matrix: IntervalMatrix, rhs: IntervalVector) -> SolveReport:
     hi: List[Optional[Fraction]] = [None] * n
     any_feasible = False
     for _, program, _ in feasible_orthants(
-        n, lambda s: oettli_prager_rows(center, radius, s, b_mid, b_rad)
+        n, oettli_prager_rows(center, radius, b_mid, b_rad)
     ):
         any_feasible = True
         for j in range(n):
@@ -623,9 +623,7 @@ def solvability(matrix: IntervalMatrix, rhs: IntervalVector, mode: str) -> Decis
     m, n = matrix.shape
     if mode == "weak":
         hit = next(
-            feasible_orthants(
-                n, lambda s: oettli_prager_rows(center, radius, s, b_mid, b_rad)
-            ),
+            feasible_orthants(n, oettli_prager_rows(center, radius, b_mid, b_rad)),
             None,
         )
         if hit is None:
@@ -672,15 +670,16 @@ def _strong_solvability(
     rhs gives b^T p <= -1; both tests linearize per sign orthant of p.
     """
     center, radius = matrix.midpoint_radius()
-    b_mid, b_rad = rhs.midpoint_radius()
-    center_t, radius_t = center.transpose(), radius.transpose()
+    pairs_for = oettli_prager_rows(center.transpose(), radius.transpose())
+    # b_c - D_s d picks b_lo where s_i = 1 and b_hi where s_i = -1
+    b_ends = tuple(zip(rhs.lower(), rhs.upper()))
     m = matrix.m
 
     def rows_for(s: SignVector) -> List[Constraint]:
         # (C^T - R^T D_s) p <= 0 and (-C^T - R^T D_s) p <= 0; the second
         # alone is (C^T + R^T D_s) p >= 0
-        pair = oettli_prager_rows(center_t, radius_t, s)
-        b_row = tuple(b_mid[i] - b_rad[i] * s[i] for i in range(m))
+        pair = pairs_for(s)
+        b_row = tuple(ends[e < 0] for ends, e in zip(b_ends, s))
         return (pair[1::2] if nonneg else pair) + [
             Constraint(b_row, LEQ, Fraction(-1))
         ]
@@ -713,12 +712,8 @@ def ineq_solvability(
     b_hi = rhs.upper()
     if mode == "weak":
         # (C - R D_s) x <= b_hi: the first row of each pair, b_c = b_hi, d = 0
-        hit = next(
-            feasible_orthants(
-                n, lambda s: oettli_prager_rows(center, radius, s, b_hi)[0::2]
-            ),
-            None,
-        )
+        pairs_for = oettli_prager_rows(center, radius, b_hi)
+        hit = next(feasible_orthants(n, lambda s: pairs_for(s)[0::2]), None)
         if hit is None:
             return Decision(False)
         s, program, x = hit
@@ -832,20 +827,20 @@ def tc_existence(matrix: IntervalMatrix, rhs: IntervalVector, kind: str) -> Deci
             return Decision(False)
         parts = outcome.certificate.witness
         x = tuple(parts[j] - parts[n + j] for j in range(n))
-        assert tc_membership(matrix, rhs, x, "tolerance")
+        if not tc_membership(matrix, rhs, x, "tolerance"):
+            raise AssertionError("the tolerance witness fails its membership test")
         return Decision(True, Certificate(witness=x))
     if kind == "control":
         # the Oettli-Prager pair with d replaced by -d
         minus_d = tuple(-d for d in b_rad)
         hit = next(
-            feasible_orthants(
-                n, lambda s: oettli_prager_rows(center, radius, s, b_mid, minus_d)
-            ),
+            feasible_orthants(n, oettli_prager_rows(center, radius, b_mid, minus_d)),
             None,
         )
         if hit is None:
             return Decision(False)
         s, _, x = hit
-        assert tc_membership(matrix, rhs, x, "control")
+        if not tc_membership(matrix, rhs, x, "control"):
+            raise AssertionError("the control witness fails its membership test")
         return Decision(True, Certificate(sign_vector=s.entries, witness=x))
     raise ValueError(f"unknown existence kind {kind!r}")

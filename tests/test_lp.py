@@ -19,7 +19,7 @@ from intlinalg import (
     lp_optimize,
 )
 from intlinalg.errors import MalformedProgram
-from intlinalg import lp
+from intlinalg import generate, lp, systems
 from intlinalg.lp import EQ, GEQ, LEQ, oettli_prager_member
 from intlinalg.matrices import RealMatrix, SignVector
 
@@ -609,6 +609,112 @@ class TestContracts:
             assert again == first
 
 
+def _gauss_jordan(rows, row, col):
+    """One rational Gauss-Jordan pivot on (row, col), the reference for _pivot."""
+    prow = [v / rows[row][col] for v in rows[row]]
+    return [
+        prow if r == row else [v - t[col] * w for v, w in zip(t, prow)]
+        for r, t in enumerate(rows)
+    ]
+
+
+class TestPivot:
+    """The integer pivot against plain Fraction Gauss-Jordan elimination:
+    rows / d must be the rational tableau after every pivot."""
+
+    def test_matches_rational_elimination(self):
+        rng = random.Random(61)
+        seen = {"zero entry, p != d": 0, "zero entry, p == d": 0, "p < 0": 0}
+        for _ in range(150):
+            m, width = rng.randint(2, 5), rng.randint(3, 7)
+            rows = [
+                [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(width)]
+                for _ in range(m)
+            ]
+            rational = [[F(v) for v in row] for row in rows]
+            d = 1
+            for _ in range(5):
+                nonzero = [
+                    (r, j) for r in range(m) for j in range(width) if rows[r][j]
+                ]
+                if not nonzero:
+                    break
+                r, j = rng.choice(nonzero)
+                p = rows[r][j]
+                if any(not t[j] and any(t) for k, t in enumerate(rows) if k != r):
+                    seen["zero entry, p == d" if p == d else "zero entry, p != d"] += 1
+                seen["p < 0"] += p < 0
+                d = lp._pivot(rows, r, j, d)
+                rational = _gauss_jordan(rational, r, j)
+                assert d > 0
+                assert [[F(v, d) for v in row] for row in rows] == rational
+        assert all(seen.values()), seen
+
+
+def _oettli_prager_formula(center, radius, s, b_mid, b_rad):
+    """(C - R D_s) x <= b_c + d and (-C - R D_s) x <= -b_c + d, row by row."""
+    m, n = center.shape
+    rows = []
+    for i in range(m):
+        c, r = center.rows[i], radius.rows[i]
+        up = tuple(c[j] - r[j] * s[j] for j in range(n))
+        down = tuple(-c[j] - r[j] * s[j] for j in range(n))
+        rows.append(Constraint(up, LEQ, b_mid[i] + b_rad[i]))
+        rows.append(Constraint(down, LEQ, -b_mid[i] + b_rad[i]))
+    return rows
+
+
+class TestOettliPragerRows:
+    """The row factory picks what the defining formula computes, on every
+    orthant."""
+
+    CASES = [
+        (m, n, seed, radius)
+        for n in (2, 3)
+        for m in (n, n + 1)
+        for seed in range(3)
+        for radius in (F(1, 4), F(3, 2))
+    ]
+
+    @pytest.mark.parametrize("m,n,seed,radius", CASES)
+    def test_rows_match_formula(self, m, n, seed, radius):
+        center, rad = generate.gen_interval_matrix(m, n, seed, radius).midpoint_radius()
+        b_mid, b_rad = generate.gen_rhs(m, seed, radius).midpoint_radius()
+        zero = tuple([F(0)] * m)
+        with_rhs = lp.oettli_prager_rows(center, rad, b_mid, b_rad)
+        without = lp.oettli_prager_rows(center, rad)
+        for s in SignVector.all(n):
+            assert with_rhs(s) == _oettli_prager_formula(center, rad, s, b_mid, b_rad)
+            assert without(s) == _oettli_prager_formula(center, rad, s, zero, zero)
+
+    @pytest.mark.parametrize("nonneg", [False, True], ids=["strong", "nonneg-strong"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_strong_solvability_rows(self, monkeypatch, n, nonneg):
+        """Strong solvability's rows on C^T, R^T and its b row b_c - D_s d."""
+        matrix = generate.gen_interval_matrix(n + 1, n, n, F(1, 2))
+        rhs = generate.gen_rhs(n + 1, n, F(1, 2))
+        sweeps = []
+        monkeypatch.setattr(
+            systems, "feasible_orthants",
+            lambda dim, rows_for: sweeps.append((dim, rows_for)) or iter(()),
+        )
+        systems._strong_solvability(matrix, rhs, nonneg)
+        (dim, rows_for), = sweeps
+        assert dim == n + 1
+        center, rad = matrix.midpoint_radius()
+        b_mid, b_rad = rhs.midpoint_radius()
+        zero = tuple([F(0)] * n)
+        for s in SignVector.all(dim):
+            pairs = _oettli_prager_formula(
+                center.transpose(), rad.transpose(), s, zero, zero
+            )
+            b_row = tuple(b_mid[i] - b_rad[i] * s[i] for i in range(dim))
+            expected = (pairs[1::2] if nonneg else pairs) + [
+                Constraint(b_row, LEQ, F(-1))
+            ]
+            assert rows_for(s) == expected
+
+
 class TestOettliPragerMember:
     """The member builder against members recorded from the four builders it
     replaced, and its own checks on witnesses that solve nothing."""
@@ -737,12 +843,14 @@ class TestUnderOptimize:
         assert done.stdout == "phase 1 raised\nwitness raised\n"
 
     def test_suite_passes_under_optimize(self):
-        """The LP and orthant-sweep tests, run again with asserts off."""
+        """The LP and orthant-sweep tests, and the system and regularity tests
+        that hold the callers of the row builder, run again with asserts off."""
         env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
         done = subprocess.run(
             [
                 sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
                 "tests/test_lp.py", "tests/test_orthant_sweeps.py",
+                "tests/test_systems.py", "tests/test_regularity.py",
                 "-k", "not test_suite_passes_under_optimize",
             ],
             cwd=os.path.abspath(ROOT),

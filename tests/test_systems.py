@@ -1,7 +1,10 @@
 """Solution-set machinery: membership, hull, enclosures, solvability,
 tolerance/control solutions."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -43,6 +46,8 @@ from intlinalg.generate import (
 )
 from intlinalg.matrices import SignVector
 from intlinalg.systems import is_interval_m_matrix, monotone_hull, parametric_witness
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def F(a, b=1):
@@ -460,6 +465,35 @@ class TestToleranceControl:
         a = IntervalMatrix.degenerate(RealMatrix([[1]]))
         b = IntervalVector([iv(-1, 1)])
         assert not tc_existence(a, b, "control").answer
+
+    def test_witness_checks_raise_under_optimize(self):
+        """The membership checks on both witnesses are explicit raises, so
+        ``python -O`` keeps them."""
+        code = (
+            "from intlinalg import Interval, IntervalMatrix, IntervalVector, systems\n"
+            "assert False, 'asserts must be off'\n"
+            "systems.tc_membership = lambda *args: False\n"
+            "for a, b, kind in (\n"
+            "    (IntervalMatrix.identity(1), IntervalVector([Interval(-1, 1)]),\n"
+            "     'tolerance'),\n"
+            "    (IntervalMatrix([[Interval(0, 2)]]), IntervalVector([Interval(1, 1)]),\n"
+            "     'control'),\n"
+            "):\n"
+            "    try:\n"
+            "        systems.tc_existence(a, b, kind)\n"
+            "    except AssertionError:\n"
+            "        print(kind, 'raised')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "tolerance raised\ncontrol raised\n"
 
 
 class TestParametric:
