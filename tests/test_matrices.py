@@ -1,5 +1,6 @@
 """Interval matrices, vertex members, exact matrix-vector ranges, file IO."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,9 +15,10 @@ from intlinalg import (
     RealMatrix,
     SignVector,
     format_imx,
+    is_positive_semidefinite_real,
     parse_imx,
 )
-from intlinalg.errors import DimensionMismatch, ParseError
+from intlinalg.errors import DimensionMismatch, ParseError, SingularMatrix
 from intlinalg.oracles import vertex_matvec_hull
 
 
@@ -157,6 +159,201 @@ class TestRealMatrix:
     def test_rank(self):
         assert RealMatrix([[1, 2], [2, 4]]).rank() == 1
         assert RealMatrix([[1, 2], [0, 1]]).rank() == 2
+
+
+def _leibniz(rows):
+    """Determinant as the signed sum over all permutations."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        odd = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
+        term = Fraction(-1 if odd else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def _minor(rows, row_idx, col_idx):
+    return _leibniz([[rows[i][j] for j in col_idx] for i in row_idx])
+
+
+def _rank_by_minors(rows):
+    """The order of the largest nonzero minor."""
+    m, n = len(rows), len(rows[0])
+    for k in range(min(m, n), 0, -1):
+        for row_idx in itertools.combinations(range(m), k):
+            for col_idx in itertools.combinations(range(n), k):
+                if _minor(rows, row_idx, col_idx):
+                    return k
+    return 0
+
+
+def _entry(rng):
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7, 97)))
+
+
+def _random_rows(rng, m, n):
+    return [[_entry(rng) for _ in range(n)] for _ in range(m)]
+
+
+def _product_rows(rng, m, n, k):
+    """An m x n product of random m x k and k x n factors: rank at most k."""
+    left, right = _random_rows(rng, m, k), _random_rows(rng, k, n)
+    return [
+        [sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0)) for j in range(n)]
+        for i in range(m)
+    ]
+
+
+def _symmetric_rows(rng, n):
+    rows = _random_rows(rng, n, n)
+    return [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
+def _gram_rows(rng, n, k):
+    """B^T B for a random k x n factor B: positive semidefinite."""
+    b = _random_rows(rng, k, n)
+    return [
+        [sum((b[t][i] * b[t][j] for t in range(k)), Fraction(0)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _fraction_rows(rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+# zero pivots that force a row swap (at the first step and after one
+# elimination), negative pivots, singular and zero matrices, denominators 97
+SQUARE_CASES = [
+    _fraction_rows(rows)
+    for rows in (
+        [[-1]],
+        [[0]],
+        [[0, 1], [1, 0]],
+        [[-2, 1], [1, -3]],
+        [[1, 2], [2, 4]],
+        [[0, 0], [0, 0]],
+        [[1, 1, 1], [1, 1, 2], [1, 2, 3]],
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        [[0, 2, 1], [3, 0, 0], [1, 1, 0]],
+        [[Fraction(1, 97), Fraction(1, 3)], [Fraction(2, 7), Fraction(-5, 97)]],
+    )
+]
+
+# a zero diagonal with a nonzero row, before and after one pivot, and the
+# semidefinite boundary
+SYMMETRIC_CASES = [
+    _fraction_rows(rows)
+    for rows in (
+        [[0]],
+        [[-1]],
+        [[0, 1], [1, 0]],
+        [[1, 1], [1, 0]],
+        [[0, 0], [0, 1]],
+        [[1, 1], [1, 1]],
+        [[1, 1, 0], [1, 1, 0], [0, 0, 0]],
+        [[1, 1, 1], [1, 1, 1], [1, 1, 2]],
+        [[1, 1, 1], [1, 1, 2], [1, 2, 1]],
+        [[2, 1, 1], [1, 0, 0], [1, 0, 0]],
+    )
+]
+
+
+class TestExactElimination:
+    """det, rank, inverse, solve and the definiteness tests against plain
+    Fraction references: Leibniz determinants and minors, and M @ inv = I."""
+
+    def test_det_matches_leibniz(self):
+        rng = random.Random(71)
+        cases = SQUARE_CASES + [
+            _random_rows(rng, n, n) for n in range(1, 6) for _ in range(30)
+        ] + [_product_rows(rng, n, n, n - 1) for n in range(2, 6) for _ in range(10)]
+        signs = set()
+        for rows in cases:
+            expected = _leibniz(rows)
+            assert RealMatrix(rows).det() == expected, rows
+            signs.add((expected > 0) - (expected < 0))
+        assert signs == {-1, 0, 1}
+
+    def test_rank_matches_largest_minor(self):
+        rng = random.Random(72)
+        cases = SQUARE_CASES + [
+            _random_rows(rng, m, n)
+            for m in range(1, 5)
+            for n in range(1, 5)
+            for _ in range(4)
+        ] + [
+            _product_rows(rng, m, n, k)
+            for m in range(2, 5)
+            for n in range(2, 5)
+            for k in range(1, min(m, n))
+            for _ in range(3)
+        ]
+        deficient = 0
+        for rows in cases:
+            expected = _rank_by_minors(rows)
+            assert RealMatrix(rows).rank() == expected, rows
+            deficient += expected < min(len(rows), len(rows[0]))
+        assert deficient >= 20
+
+    def test_inverse_and_solve(self):
+        rng = random.Random(73)
+        cases = SQUARE_CASES + [
+            _random_rows(rng, n, n) for n in range(1, 6) for _ in range(20)
+        ] + [_product_rows(rng, n, n, n - 1) for n in range(2, 5) for _ in range(5)]
+        singular = 0
+        for rows in cases:
+            m = RealMatrix(rows)
+            n = m.n
+            b = tuple(_entry(rng) for _ in range(n))
+            if _leibniz(rows) == 0:
+                singular += 1
+                with pytest.raises(SingularMatrix):
+                    m.inverse()
+                with pytest.raises(SingularMatrix):
+                    m.solve(b)
+                continue
+            inv = m.inverse()
+            assert m @ inv == inv @ m == RealMatrix.identity(n), rows
+            assert m.matvec(m.solve(b)) == b, rows
+        assert singular >= 10
+
+    def test_leading_minors_match_leibniz(self):
+        rng = random.Random(74)
+        cases = SQUARE_CASES + SYMMETRIC_CASES + [
+            _random_rows(rng, n, n) for n in range(1, 6) for _ in range(20)
+        ] + [_gram_rows(rng, n, k) for n in range(1, 6) for k in (n - 1, n, n + 1)
+             for _ in range(4)]
+        outcomes = set()
+        for rows in cases:
+            expected = all(
+                _minor(rows, range(k), range(k)) > 0 for k in range(1, len(rows) + 1)
+            )
+            assert RealMatrix(rows).leading_minors_all_positive() == expected, rows
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_semidefinite_matches_principal_minors(self):
+        rng = random.Random(75)
+        cases = SYMMETRIC_CASES + [
+            _symmetric_rows(rng, n) for n in range(1, 6) for _ in range(20)
+        ] + [_gram_rows(rng, n, k) for n in range(1, 6) for k in (1, n - 1, n)
+             for _ in range(6)]
+        outcomes = set()
+        for rows in cases:
+            n = len(rows)
+            expected = all(
+                _minor(rows, idx, idx) >= 0
+                for k in range(1, n + 1)
+                for idx in itertools.combinations(range(n), k)
+            )
+            assert is_positive_semidefinite_real(RealMatrix(rows)) == expected, rows
+            outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 class TestImxFormat:
