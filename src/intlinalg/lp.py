@@ -3,8 +3,9 @@
 Two-phase primal simplex with Bland's anti-cycling rule: terminating,
 deterministic, and bit-exact.  The tableau holds Python ints over one common
 positive denominator, and each pivot divides exactly (integer-preserving
-pivoting: Edmonds 1967, Bareiss 1968), so no Fraction enters a pivot.  The
-standard form is written in integer rows directly, scaled once by a common
+pivoting: Edmonds 1967, Bareiss 1968), so no Fraction enters a pivot; the
+pivot is ``matrices.bareiss_pivot``, which the point linear algebra shares.
+The standard form is written in integer rows directly, scaled once by a common
 multiple of the denominators.  Phase 1 reads only the constraints and
 bounds, so the last program's phase-1 end state is kept, without the
 artificial columns that phase 2 never enters: further objectives over an
@@ -35,6 +36,7 @@ from .matrices import (
     RealMatrix,
     SignVector,
     Vector,
+    bareiss_pivot,
     vec_abs,
     vec_add,
     vec_sub,
@@ -131,7 +133,9 @@ class _Standardized:
 
     The rows [A | b] are written in integers: one common multiple of the
     denominators of the coefficients, the shifted right-hand sides and the
-    caps scales them all, so no Fraction row is built.
+    caps scales them all, so no Fraction row is built.  The scale is common,
+    not per row as in ``matrices.integer_rows``, because the +-1 slack and
+    artificial columns added later must scale like the rest (see ``_phase1``).
     """
 
     def __init__(self, program: LinearProgram):
@@ -212,31 +216,6 @@ class _Standardized:
         return tuple(out)
 
 
-def _pivot(rows: List[List[int]], row: int, col: int, d: int) -> int:
-    """Pivot the integer tableau ``rows`` with denominator d on (row, col).
-
-    Returns the new denominator, kept positive by negating every row after a
-    negative pivot.  Each entry is d times a rational tableau entry, a minor
-    of the integer starting tableau, so the division by d is exact (Edmonds
-    1967; Bareiss 1968).  A row with a zero in the pivot column only moves
-    to the new denominator, and not at all when p == d.
-    """
-    prow = rows[row]
-    p = prow[col]
-    for r, trow in enumerate(rows):
-        if r == row:
-            continue
-        f = trow[col]
-        if f:
-            trow[:] = [(v * p - f * w) // d for v, w in zip(trow, prow)]
-        elif p != d:
-            trow[:] = [v * p // d for v in trow]
-    if p < 0:
-        for trow in rows:
-            trow[:] = [-v for v in trow]
-    return abs(p)
-
-
 def _simplex_min(
     tableau: List[List[int]],
     obj: List[int],
@@ -267,7 +246,7 @@ def _simplex_min(
                 best = r
         if best is None:
             return UNBOUNDED, d
-        d = _pivot(rows, best, enter, d)
+        d = bareiss_pivot(rows, best, enter, d)
         basis[best] = enter
 
 
@@ -318,7 +297,7 @@ def _phase1(
             col = next((j for j in range(n_cols) if tableau[r][j] != 0), None)
             if col is None:
                 continue
-            d = _pivot(tableau, r, col, d)
+            d = bareiss_pivot(tableau, r, col, d)
             basis[r] = col
         keep.append(r)
     return ([tableau[r][:n_cols] + tableau[r][-1:] for r in keep],

@@ -1,12 +1,16 @@
 """Interval matrices/vectors, sign vectors, and exact rational point matrices.
 
-The point-matrix type carries the exact linear algebra (elimination,
-determinant, inverse, rank) that every decision procedure leans on.
+The point-matrix type carries the exact linear algebra (determinant, rank,
+inverse, solve, leading minors) that every decision procedure leans on.  It
+all runs on ``bareiss_pivot``, the package's one exact pivot, which the
+simplex in ``lp`` uses too: rows are scaled to integers (``integer_rows``)
+and every pivot divides exactly, so no Fraction enters an elimination.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -33,6 +37,66 @@ def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
 
 def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
+
+
+def integer_rows(rows: Iterable[Sequence[Fraction]]) -> Tuple[List[List[int]], List[int]]:
+    """Each row times the lcm of its own denominators, and those scales."""
+    out, scales = [], []
+    for row in rows:
+        k = math.lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (k // v.denominator) for v in row])
+        scales.append(k)
+    return out, scales
+
+
+def bareiss_pivot(rows: List[List[int]], row: int, col: int, d: int) -> int:
+    """Pivot the integer tableau ``rows`` with denominator d on (row, col).
+
+    Returns the new denominator, kept positive by negating every row after a
+    negative pivot.  Each entry is d times a rational tableau entry, a minor
+    of the integer starting tableau, so the division by d is exact (Edmonds
+    1967; Bareiss 1968).  A row with a zero in the pivot column only moves
+    to the new denominator, and not at all when p == d.
+    """
+    prow = rows[row]
+    p = prow[col]
+    for r, trow in enumerate(rows):
+        if r == row:
+            continue
+        f = trow[col]
+        if f:
+            trow[:] = [(v * p - f * w) // d for v, w in zip(trow, prow)]
+        elif p != d:
+            trow[:] = [v * p // d for v in trow]
+    if p < 0:
+        for trow in rows:
+            trow[:] = [-v for v in trow]
+    return abs(p)
+
+
+def _reduce(rows: List[List[int]], ncols: int) -> Tuple[int, int, int]:
+    """Integer Gauss-Jordan on the first ncols columns of ``rows``, in place.
+
+    Each column pivots on its first nonzero entry at or below the current
+    row.  Returns (d, sign, rank): afterwards rows / d is the starting rows
+    after row operations that bring their first ncols columns to reduced row
+    echelon form, and when rank == ncols == len(rows) the determinant of the
+    starting rows is sign * d, as sign flips on every row swap and on every
+    negative pivot, after which ``bareiss_pivot`` negates the rows.
+    """
+    d, sign, rank = 1, 1, 0
+    for col in range(ncols):
+        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != rank:
+            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+            sign = -sign
+        if rows[rank][col] < 0:
+            sign = -sign
+        d = bareiss_pivot(rows, rank, col, d)
+        rank += 1
+    return d, sign, rank
 
 
 class RealMatrix:
@@ -159,67 +223,29 @@ class RealMatrix:
     def det(self) -> Fraction:
         if not self.is_square():
             raise NotSquare("determinant of a non-square matrix")
-        work = [list(row) for row in self.rows]
-        n = self.n
-        sign = Fraction(1)
-        result = Fraction(1)
-        for k in range(n):
-            pivot_row = next((r for r in range(k, n) if work[r][k] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != k:
-                work[k], work[pivot_row] = work[pivot_row], work[k]
-                sign = -sign
-            pivot = work[k][k]
-            result *= pivot
-            for r in range(k + 1, n):
-                factor = work[r][k] / pivot
-                if factor == 0:
-                    continue
-                for c in range(k, n):
-                    work[r][c] -= factor * work[k][c]
-        return sign * result
+        rows, scales = integer_rows(self.rows)
+        d, sign, rank = _reduce(rows, self.n)
+        if rank < self.n:
+            return Fraction(0)
+        # scaling a row by k scales the determinant by k
+        return Fraction(sign * d, math.prod(scales))
 
     def rank(self) -> int:
-        work = [list(row) for row in self.rows]
-        m, n = self.shape
-        rank = 0
-        for col in range(n):
-            pivot_row = next((r for r in range(rank, m) if work[r][col] != 0), None)
-            if pivot_row is None:
-                continue
-            work[rank], work[pivot_row] = work[pivot_row], work[rank]
-            pivot = work[rank][col]
-            for r in range(rank + 1, m):
-                factor = work[r][col] / pivot
-                if factor == 0:
-                    continue
-                for c in range(col, n):
-                    work[r][c] -= factor * work[rank][c]
-            rank += 1
-            if rank == m:
-                break
-        return rank
+        return _reduce(integer_rows(self.rows)[0], self.n)[2]
+
+    def _solve_right(self, right: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
+        """X with self X = right, for a square regular self."""
+        n = self.n
+        rows, _ = integer_rows(row + tuple(extra) for row, extra in zip(self.rows, right))
+        d, _, rank = _reduce(rows, n)
+        if rank < n:
+            raise SingularMatrix("matrix is singular")
+        return [[Fraction(v, d) for v in row[n:]] for row in rows]
 
     def inverse(self) -> "RealMatrix":
         if not self.is_square():
             raise NotSquare("inverse of a non-square matrix")
-        n = self.n
-        work = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-                for i, row in enumerate(self.rows)]
-        for k in range(n):
-            pivot_row = next((r for r in range(k, n) if work[r][k] != 0), None)
-            if pivot_row is None:
-                raise SingularMatrix("matrix is singular")
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            pivot = work[k][k]
-            work[k] = [v / pivot for v in work[k]]
-            for r in range(n):
-                if r == k or work[r][k] == 0:
-                    continue
-                factor = work[r][k]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[k])]
-        return RealMatrix([row[n:] for row in work])
+        return RealMatrix(self._solve_right(RealMatrix.identity(self.n).rows))
 
     def solve(self, b: Sequence[Fraction]) -> Vector:
         """Unique solution of a square regular system."""
@@ -227,42 +253,20 @@ class RealMatrix:
             raise NotSquare("solve requires a square matrix")
         if len(b) != self.m:
             raise DimensionMismatch("rhs length does not match matrix")
-        n = self.n
-        work = [list(row) + [rational(b[i])] for i, row in enumerate(self.rows)]
-        for k in range(n):
-            pivot_row = next((r for r in range(k, n) if work[r][k] != 0), None)
-            if pivot_row is None:
-                raise SingularMatrix("matrix is singular")
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            pivot = work[k][k]
-            for r in range(k + 1, n):
-                factor = work[r][k] / pivot
-                if factor == 0:
-                    continue
-                for c in range(k, n + 1):
-                    work[r][c] -= factor * work[k][c]
-        x = [Fraction(0)] * n
-        for k in range(n - 1, -1, -1):
-            acc = work[k][n] - sum((work[k][c] * x[c] for c in range(k + 1, n)), Fraction(0))
-            x[k] = acc / work[k][k]
-        return tuple(x)
+        return tuple(row[0] for row in self._solve_right([(rational(v),) for v in b]))
 
     def leading_minors_all_positive(self) -> bool:
         """True iff every leading principal minor is > 0 (exact)."""
         if not self.is_square():
             raise NotSquare("leading minors of a non-square matrix")
-        work = [list(row) for row in self.rows]
-        n = self.n
-        for k in range(n):
-            pivot = work[k][k]
-            if pivot <= 0:
+        rows, _ = integer_rows(self.rows)
+        d = 1
+        for k in range(self.n):
+            # with all earlier pivots positive, the pivot entry is the leading
+            # minor of order k + 1 of the rows, each scaled by a positive integer
+            if rows[k][k] <= 0:
                 return False
-            for r in range(k + 1, n):
-                factor = work[r][k] / pivot
-                if factor == 0:
-                    continue
-                for c in range(k, n):
-                    work[r][c] -= factor * work[k][c]
+            d = bareiss_pivot(rows, k, k, d)
         return True
 
     def _check_same_shape(self, other: "RealMatrix"):

@@ -5,8 +5,9 @@ symmetric matrices come from Sturm-chain root counting of the
 characteristic polynomial, bisected to a requested tolerance; spectral
 radii of nonnegative matrices combine Collatz-Wielandt bounds from a
 positive power iterate with an exact threshold test; definiteness is
-decided exactly by pivot signs.  Consumers map "threshold inside an
-enclosure" to Unknown, so a Proven verdict is never wrong.
+decided exactly by the signs of integer pivots (``matrices.bareiss_pivot``).
+Consumers map "threshold inside an enclosure" to Unknown, so a Proven
+verdict is never wrong.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     NotSymmetric,
     UnsupportedMatrixClass,
 )
-from .matrices import RealMatrix, Vector
+from .matrices import RealMatrix, Vector, bareiss_pivot, integer_rows
 
 DEFAULT_TOL = Fraction(1, 10**12)
 
@@ -109,7 +110,8 @@ def square_free_part(p: Sequence[Fraction]) -> List[Fraction]:
     if len(g) <= 1:
         return list(p)
     q, r = _poly_divmod(p, g)
-    assert not r
+    if r:
+        raise AssertionError("p leaves a remainder on gcd(p, p')")
     return _poly_normalize(q)
 
 
@@ -356,35 +358,18 @@ def is_positive_semidefinite_real(matrix: RealMatrix) -> bool:
     """Exact PSD decision (symmetric input)."""
     if not matrix.is_symmetric():
         raise NotSymmetric("semidefiniteness requires a symmetric matrix")
-    work = [list(row) for row in matrix.rows]
+    # rows stay positive multiples of the Schur complement of the pivots
+    # taken, so the sign and zero tests below read it directly
+    work, _ = integer_rows(matrix.rows)
+    d = 1
     active = list(range(matrix.n))
     while active:
-        # any negative diagonal kills PSD; a zero diagonal forces a zero row
-        pivot_idx = None
+        # a negative diagonal kills PSD; a zero diagonal forces a zero row
         for i in active:
-            if work[i][i] < 0:
-                return False
-            if work[i][i] > 0 and pivot_idx is None:
-                pivot_idx = i
-        if pivot_idx is None:
-            return all(
-                work[i][j] == 0 for i in active for j in active
-            )
-        zero_diag = [i for i in active if work[i][i] == 0]
-        for i in zero_diag:
-            if any(work[i][j] != 0 for j in active):
+            if work[i][i] < 0 or (work[i][i] == 0 and any(work[i][j] for j in active)):
                 return False
         active = [i for i in active if work[i][i] > 0]
-        if not active:
-            return True
-        k = active[0]
-        pivot = work[k][k]
-        rest = active[1:]
-        for r in rest:
-            factor = work[r][k] / pivot
-            if factor == 0:
-                continue
-            for c in rest:
-                work[r][c] -= factor * work[k][c]
-        active = rest
+        if active:
+            d = bareiss_pivot([work[i] for i in active], 0, active[0], d)
+        active = active[1:]
     return True

@@ -337,26 +337,39 @@ def _precondition(matrix: IntervalMatrix, rhs: IntervalVector):
     return inv, pre_a, pre_b
 
 
-def _auto_initial(
+def _contraction_bound(
     matrix: IntervalMatrix, rhs: IntervalVector, inv: RealMatrix
-) -> IntervalVector:
-    """Rigorous starting box when rho(|C| R) < 1 is provable."""
+) -> Optional[Tuple[RealMatrix, Vector, Vector, Vector]]:
+    """(p, x_c, q, u) with p = |C^-1| R, x_c = C^-1 b_c, q = |C^-1| d and
+    u = (I - p)^-1 (|x_c| + q), which bounds |x| on the solution set; None
+    when rho(p) < 1 is not provable."""
     _, radius = matrix.midpoint_radius()
     b_mid, b_rad = rhs.midpoint_radius()
     p = inv.abs() @ radius
     if not rho_less_than(p, 1):
+        return None
+    xc = inv.matvec(b_mid)
+    q = inv.abs().matvec(b_rad)
+    u = (RealMatrix.identity(matrix.n) - p).inverse().matvec(vec_add(vec_abs(xc), q))
+    return p, xc, q, u
+
+
+def _auto_initial(
+    matrix: IntervalMatrix, rhs: IntervalVector, inv: RealMatrix
+) -> IntervalVector:
+    """Rigorous starting box when rho(|C| R) < 1 is provable."""
+    bound = _contraction_bound(matrix, rhs, inv)
+    if bound is None:
         raise NoInitialEnclosure(
             "no starting box: rho(|C| R) < 1 not provable and none supplied"
         )
-    m2 = (RealMatrix.identity(matrix.n) - p).inverse()
-    xc = inv.matvec(b_mid)
-    q = inv.abs().matvec(b_rad)
-    u = m2.matvec(vec_add(vec_abs(xc), q))
+    p, xc, q, u = bound
     box = IntervalVector.from_bounds(tuple(-v for v in u), u)
-    spread = inv.abs().matvec(vec_add(radius.matvec(u), b_rad))
+    spread = vec_add(p.matvec(u), q)  # |C^-1| (R u + d)
     centered = IntervalVector.from_bounds(vec_sub(xc, spread), vec_add(xc, spread))
     tight = box.intersect(centered)
-    assert tight is not None
+    if tight is None:
+        raise AssertionError("two boxes that hold the solution set do not meet")
     return tight
 
 
@@ -493,23 +506,18 @@ def _hbr_enclosure(matrix: IntervalMatrix, rhs: IntervalVector) -> SolveReport:
     """Closed-form enclosure under the proven contraction rho(|C| R) < 1."""
     if not matrix.is_square():
         raise NotSquare("the closed-form enclosure needs a square matrix")
-    n = matrix.n
-    center, radius = matrix.midpoint_radius()
-    b_mid, b_rad = rhs.midpoint_radius()
+    center, _ = matrix.midpoint_radius()
     try:
         inv = center.inverse()
     except SingularMatrix:
         raise PreconditionNotVerifiable("midpoint matrix is not invertible")
-    p = inv.abs() @ radius
-    if not rho_less_than(p, 1):
+    bound = _contraction_bound(matrix, rhs, inv)
+    if bound is None:
         raise PreconditionNotVerifiable("rho(|C| R) < 1 is not provable")
-    m2 = (RealMatrix.identity(n) - p).inverse()
-    xc = inv.matvec(b_mid)
-    q = inv.abs().matvec(b_rad)
-    xstar = m2.matvec(vec_add(vec_abs(xc), q))
+    p, xc, _, xstar = bound
     lo = []
     hi = []
-    for i in range(n):
+    for i in range(matrix.n):
         pii = p.rows[i][i]
         up = xstar[i] + (xc[i] - abs(xc[i])) / (1 - pii)
         hi.append(max(up, (1 - pii) * up / (1 + pii)))

@@ -21,7 +21,7 @@ from intlinalg import (
 from intlinalg.errors import MalformedProgram
 from intlinalg import generate, lp, systems
 from intlinalg.lp import EQ, GEQ, LEQ, oettli_prager_member
-from intlinalg.matrices import RealMatrix, SignVector
+from intlinalg.matrices import RealMatrix, SignVector, bareiss_pivot
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SRC = os.path.join(ROOT, "src")
@@ -610,7 +610,8 @@ class TestContracts:
 
 
 def _gauss_jordan(rows, row, col):
-    """One rational Gauss-Jordan pivot on (row, col), the reference for _pivot."""
+    """One rational Gauss-Jordan pivot on (row, col), the reference for
+    bareiss_pivot."""
     prow = [v / rows[row][col] for v in rows[row]]
     return [
         prow if r == row else [v - t[col] * w for v, w in zip(t, prow)]
@@ -644,7 +645,7 @@ class TestPivot:
                 if any(not t[j] and any(t) for k, t in enumerate(rows) if k != r):
                     seen["zero entry, p == d" if p == d else "zero entry, p != d"] += 1
                 seen["p < 0"] += p < 0
-                d = lp._pivot(rows, r, j, d)
+                d = bareiss_pivot(rows, r, j, d)
                 rational = _gauss_jordan(rational, r, j)
                 assert d > 0
                 assert [[F(v, d) for v in row] for row in rows] == rational
@@ -843,14 +844,16 @@ class TestUnderOptimize:
         assert done.stdout == "phase 1 raised\nwitness raised\n"
 
     def test_suite_passes_under_optimize(self):
-        """The LP and orthant-sweep tests, and the system and regularity tests
-        that hold the callers of the row builder, run again with asserts off."""
+        """The LP and orthant-sweep tests, the system and regularity tests
+        that hold the callers of the row builder, and the matrix and spectral
+        tests of the shared exact pivot run again with asserts off."""
         env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
         done = subprocess.run(
             [
                 sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
                 "tests/test_lp.py", "tests/test_orthant_sweeps.py",
                 "tests/test_systems.py", "tests/test_regularity.py",
+                "tests/test_matrices.py", "tests/test_spectral.py",
                 "-k", "not test_suite_passes_under_optimize",
             ],
             cwd=os.path.abspath(ROOT),

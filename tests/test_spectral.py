@@ -1,7 +1,10 @@
 """Spectral enclosures: eigenvalue ranges, spectral radii, singular values,
 and exact definiteness decisions."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +21,7 @@ from intlinalg.errors import NotSymmetric, UnsupportedMatrixClass
 from intlinalg.spectral import char_poly, sqrt_down, sqrt_up, sym_eigen_range
 
 TOL = Fraction(1, 10**8)
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def F(a, b=1):
@@ -234,3 +238,34 @@ def test_enclosure_soundness_on_exact_corpus():
     lo, hi = sym_eigen_range(RealMatrix([[2, 1], [1, 2]]), TOL)
     assert lo.value.contains(1)
     assert hi.value.contains(3)
+
+
+def test_square_free_check_raises_under_optimize():
+    """The exact-division check in square_free_part is an explicit raise, so
+    ``python -O`` keeps it: a remainder on the final division must raise."""
+    code = (
+        "from fractions import Fraction\n"
+        "from intlinalg import spectral\n"
+        "assert False, 'asserts must be off'\n"
+        "real = spectral._poly_divmod\n"
+        "calls = []\n"
+        "def with_remainder(a, b):\n"
+        "    calls.append(1)\n"
+        "    q, r = real(a, b)\n"
+        "    return (q, [Fraction(1)]) if len(calls) > 1 else (q, r)\n"
+        "spectral._poly_divmod = with_remainder\n"
+        "try:\n"
+        "    spectral.square_free_part([Fraction(1), Fraction(-2), Fraction(1)])\n"
+        "except AssertionError:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "raised\n"

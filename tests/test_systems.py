@@ -570,3 +570,32 @@ class TestAutoDispatch:
         report = solve_auto(a, b)
         assert report.method in ("hbr", "hull")
         assert report.box.contains_box(hull_exact(a, b).box)
+
+
+def test_starting_box_check_raises_under_optimize():
+    """The two starting boxes of ``_auto_initial`` must meet; the check is an
+    explicit raise, so ``python -O`` keeps it."""
+    code = (
+        "from fractions import Fraction\n"
+        "from intlinalg import IntervalMatrix, IntervalVector, RealMatrix, systems\n"
+        "assert False, 'asserts must be off'\n"
+        "a = IntervalMatrix.identity(1)\n"
+        "b = IntervalVector.degenerate([1])\n"
+        "p = RealMatrix([[0]])\n"
+        "systems._contraction_bound = lambda *args: (\n"
+        "    p, (Fraction(100),), (Fraction(0),), (Fraction(1),))\n"
+        "try:\n"
+        "    systems._auto_initial(a, b, RealMatrix.identity(1))\n"
+        "except AssertionError:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "raised\n"
