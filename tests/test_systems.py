@@ -1,6 +1,7 @@
 """Solution-set machinery: membership, hull, enclosures, solvability,
 tolerance/control solutions."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -12,15 +13,18 @@ import pytest
 from conftest import grid_sample
 from intlinalg import (
     Interval,
+    IntervalInverse,
     IntervalMatrix,
     IntervalVector,
     ParametricSystem,
     RealMatrix,
     SolveOptions,
     enclosure,
+    format_interval,
     hull_bidiagonal,
     hull_exact,
     ineq_solvability,
+    inverse_enclosure,
     is_solution,
     is_solution_parametric,
     lsq_enclosure,
@@ -36,11 +40,14 @@ from intlinalg.errors import (
     NoInitialEnclosure,
     NotBidiagonal,
     PivotContainsZero,
+    PreconditionError,
     PreconditionNotVerifiable,
     UnboundedSolutionSet,
 )
 from intlinalg.generate import (
     bidiagonal_system,
+    gen_interval_matrix,
+    gen_rhs,
     mmatrix_system,
     well_conditioned_system,
 )
@@ -599,3 +606,740 @@ def test_starting_box_check_raises_under_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "raised\n"
+
+
+ITERATIVE = ("jacobi", "gauss-seidel", "krawczyk")
+ROUTES = (
+    ("int-ge", "jacobi", "gauss-seidel", "krawczyk", "hbr", "auto")
+    + tuple(
+        f"{m}:{v}"
+        for m in ITERATIVE
+        for v in ("unpreconditioned", "preconditioned", "max_iter=3")
+    )
+    + ("jacobi:far", "gauss-seidel:far")
+)
+
+
+def _system(family, n):
+    if family == "well":
+        return well_conditioned_system(n, 0)
+    if family == "mmatrix":
+        return mmatrix_system(n, 0)
+    return gen_interval_matrix(n, n, 0, F(1, 2)), gen_rhs(n, 0, F(1, 2))
+
+
+def _route(name, a, b):
+    """Run one enclosure route; a start box is capped at 15 iterations, as
+    unpreconditioned endpoints grow by thousands of bits over long runs."""
+    if name == "auto":
+        return solve_auto(a, b)
+    method, _, variant = name.partition(":")
+    n = a.n
+    start = IntervalVector.from_bounds([-4] * n, [4] * n)
+    far = IntervalVector.from_bounds([50] * n, [51] * n)
+    opts = {
+        "": SolveOptions(),
+        "unpreconditioned": SolveOptions(precondition=False, initial=start, max_iter=15),
+        "preconditioned": SolveOptions(precondition=True, initial=start, max_iter=15),
+        "max_iter=3": SolveOptions(max_iter=3),
+        "far": SolveOptions(precondition=True, initial=far, max_iter=15),
+    }[variant]
+    return enclosure(a, b, method, opts)
+
+
+def _box_text(entries) -> str:
+    """Intervals as format_interval text, or its SHA-256 when that runs long."""
+    text = "[" + "; ".join(format_interval(e) for e in entries) + "]"
+    if len(text) > 160:
+        return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+    return text
+
+
+def _outcome(call) -> str:
+    try:
+        result = call()
+    except PreconditionError as exc:
+        return type(exc).__name__
+    if isinstance(result, IntervalInverse):
+        entries = [e for row in result.matrix.entries for e in row]
+        return f"{result.method} {_box_text(entries)}"
+    flags = "".join(
+        flag
+        for flag, on in (
+            (" exact", result.exact),
+            (" insolvable", result.insolvability_detected),
+            (" unconverged", not result.converged),
+        )
+        if on
+    )
+    box = "" if result.box is None else " " + _box_text(result.box.entries)
+    return f"{result.method} it={result.iterations}{flags}{box}"
+
+
+def _outcomes(key):
+    """Every pinned outcome of one table row, keyed by route."""
+    kind, _, size = key.rpartition("-")
+    n = int(size)
+    if kind == "lsq":
+        a = gen_interval_matrix(n + 1, n, 0, F(1, 32))
+        b = gen_rhs(n + 1, 0, F(1, 8))
+        return {
+            m: _outcome(lambda: lsq_enclosure(a, b, m))
+            for m in ("krawczyk", "gauss-seidel")
+        }
+    a, b = _system("well" if kind == "inverse" else kind, n)
+    if kind == "inverse":
+        return {
+            m: _outcome(lambda: inverse_enclosure(a, m))
+            for m in ("krawczyk", "gauss-seidel")
+        }
+    return {name: _outcome(lambda: _route(name, a, b)) for name in ROUTES}
+
+
+ENCLOSURE_TABLE = {
+    "general-1": {
+        "int-ge": "int-ge it=0 [26011/51159:2635/3143]",
+        "jacobi": "jacobi it=2 [26011/51159:2635/3143]",
+        "gauss-seidel": "gauss-seidel it=1 exact [26011/51159:2635/3143]",
+        "krawczyk": "krawczyk it=1 [4667/9429:2635/3143]",
+        "hbr": "hbr it=0 [26011/51159:2635/3143]",
+        "auto": "diagonal it=0 exact [26011/51159:2635/3143]",
+        "jacobi:unpreconditioned": "jacobi it=2 [26011/51159:2635/3143]",
+        "jacobi:preconditioned": "jacobi it=2 [26011/51159:2635/3143]",
+        "jacobi:max_iter=3": "jacobi it=2 [26011/51159:2635/3143]",
+        "gauss-seidel:unpreconditioned": (
+            "gauss-seidel it=1 exact [26011/51159:2635/3143]"
+        ),
+        "gauss-seidel:preconditioned": "gauss-seidel it=2 [26011/51159:2635/3143]",
+        "gauss-seidel:max_iter=3": "gauss-seidel it=1 exact [26011/51159:2635/3143]",
+        "krawczyk:unpreconditioned": "krawczyk it=1 [-4:4]",
+        "krawczyk:preconditioned": (
+            "krawczyk it=15 unconverged"
+            " sha256:b87bd2968e860f572d3fe9b78481555e8ed767ed704faf9b4a6b1754ef5f5de2"
+        ),
+        "krawczyk:max_iter=3": "krawczyk it=1 [4667/9429:2635/3143]",
+        "jacobi:far": "jacobi it=1 insolvable",
+        "gauss-seidel:far": "gauss-seidel it=1 insolvable",
+    },
+    "general-2": {
+        "int-ge": (
+            "int-ge it=0"
+            " [-91709838195/18918968992:-191926961073791/221673559679264;"
+            " 67592919438837/73595557119928:14488225167/4729742248]"
+        ),
+        "jacobi": (
+            "jacobi it=2"
+            " [-91709838195/18918968992:-191926961073791/221673559679264;"
+            " 18403220819757/141592942323448:14488225167/4729742248]"
+        ),
+        "gauss-seidel": (
+            "gauss-seidel it=2"
+            " [-91709838195/18918968992:-191926961073791/221673559679264;"
+            " 18403220819757/141592942323448:14488225167/4729742248]"
+        ),
+        "krawczyk": (
+            "krawczyk it=1 [-91709838195/18918968992:16033962227/18918968992;"
+            " -298998423/4729742248:14488225167/4729742248]"
+        ),
+        "hbr": (
+            "hbr it=0"
+            " [-91709838195/18918968992:-191926961073791/221673559679264;"
+            " 18403220819757/141592942323448:14488225167/4729742248]"
+        ),
+        "auto": (
+            "hbr it=0"
+            " [-91709838195/18918968992:-191926961073791/221673559679264;"
+            " 18403220819757/141592942323448:14488225167/4729742248]"
+        ),
+        "jacobi:unpreconditioned": "PivotContainsZero",
+        "jacobi:preconditioned": (
+            "jacobi it=3 [-4:-46116243373/51646380072;"
+            " 138241/419114:1041407/367318]"
+        ),
+        "jacobi:max_iter=3": (
+            "jacobi it=2"
+            " [-91709838195/18918968992:-191926961073791/221673559679264;"
+            " 18403220819757/141592942323448:14488225167/4729742248]"
+        ),
+        "gauss-seidel:unpreconditioned": "PivotContainsZero",
+        "gauss-seidel:preconditioned": (
+            "gauss-seidel it=3 [-4:-46116243373/51646380072;"
+            " 138241/419114:1041407/367318]"
+        ),
+        "gauss-seidel:max_iter=3": (
+            "gauss-seidel it=2"
+            " [-91709838195/18918968992:-191926961073791/221673559679264;"
+            " 18403220819757/141592942323448:14488225167/4729742248]"
+        ),
+        "krawczyk:unpreconditioned": "krawczyk it=1 [-4:4; -4:4]",
+        "krawczyk:preconditioned": (
+            "krawczyk it=15 unconverged"
+            " sha256:ba50f61c926132347f95835faa2b7a4e05fea0b15293a04fe424e6f1972c57ce"
+        ),
+        "krawczyk:max_iter=3": (
+            "krawczyk it=1 [-91709838195/18918968992:16033962227/18918968992;"
+            " -298998423/4729742248:14488225167/4729742248]"
+        ),
+        "jacobi:far": "jacobi it=1 insolvable",
+        "gauss-seidel:far": "gauss-seidel it=1 insolvable",
+    },
+    "general-3": {
+        "int-ge": "PivotContainsZero",
+        "jacobi": "NoInitialEnclosure",
+        "gauss-seidel": "NoInitialEnclosure",
+        "krawczyk": "NoInitialEnclosure",
+        "hbr": "PreconditionNotVerifiable",
+        "auto": "UnboundedSolutionSet",
+        "jacobi:unpreconditioned": "jacobi it=1 [-4:4; -4:4; -4:4]",
+        "jacobi:preconditioned": (
+            "jacobi it=3 [-363309/238087:363309/238087;"
+            " -4:34478141471/35326634799; -4:4]"
+        ),
+        "jacobi:max_iter=3": "NoInitialEnclosure",
+        "gauss-seidel:unpreconditioned": "gauss-seidel it=1 [-4:4; -4:4; -4:4]",
+        "gauss-seidel:preconditioned": (
+            "gauss-seidel it=2 [-363309/238087:363309/238087;"
+            " -4:34478141471/35326634799; -4:4]"
+        ),
+        "gauss-seidel:max_iter=3": "NoInitialEnclosure",
+        "krawczyk:unpreconditioned": "krawczyk it=1 [-4:4; -4:4; -4:4]",
+        "krawczyk:preconditioned": (
+            "krawczyk it=15 unconverged"
+            " sha256:cf9abd54ad49bbfafd14134d980030cc24f9c7494c002013d868b7c3e52bf542"
+        ),
+        "krawczyk:max_iter=3": "NoInitialEnclosure",
+        "jacobi:far": "jacobi it=1 insolvable",
+        "gauss-seidel:far": "gauss-seidel it=1 insolvable",
+    },
+    "general-4": {
+        "int-ge": "PivotContainsZero",
+        "jacobi": "NoInitialEnclosure",
+        "gauss-seidel": "NoInitialEnclosure",
+        "krawczyk": "NoInitialEnclosure",
+        "hbr": "PreconditionNotVerifiable",
+        "auto": "UnboundedSolutionSet",
+        "jacobi:unpreconditioned": "PivotContainsZero",
+        "jacobi:preconditioned": "PivotContainsZero",
+        "jacobi:max_iter=3": "NoInitialEnclosure",
+        "gauss-seidel:unpreconditioned": "PivotContainsZero",
+        "gauss-seidel:preconditioned": "PivotContainsZero",
+        "gauss-seidel:max_iter=3": "NoInitialEnclosure",
+        "krawczyk:unpreconditioned": "krawczyk it=1 [-4:4; -4:4; -4:4; -4:4]",
+        "krawczyk:preconditioned": (
+            "krawczyk it=15 unconverged"
+            " sha256:75ac6732ed4dec883c65d915113ae4d5289136f44d024f682aff39f8d98d89b7"
+        ),
+        "krawczyk:max_iter=3": "NoInitialEnclosure",
+        "jacobi:far": "PivotContainsZero",
+        "gauss-seidel:far": "PivotContainsZero",
+    },
+    "inverse-1": {
+        "krawczyk": "krawczyk [4657064/10547613:524288/1171957]",
+        "gauss-seidel": "gauss-seidel [524288/1187339:524288/1171957]",
+    },
+    "inverse-2": {
+        "krawczyk": (
+            "krawczyk"
+            " sha256:df6e427f610d18db7e8e4135abd7079f9ffdd9049f25d70cbbf1072830c3a34e"
+        ),
+        "gauss-seidel": (
+            "gauss-seidel"
+            " sha256:6172f1249d21b237cbb8e3f5a89953248c38325e14b9f2d76bf6fedcb254e4c8"
+        ),
+    },
+    "inverse-3": {
+        "krawczyk": (
+            "krawczyk"
+            " sha256:fd331ee8bdbb03ceb1119d81b292cbbcbb84133a75fb72bc1e00cc7e19a4f359"
+        ),
+        "gauss-seidel": (
+            "gauss-seidel"
+            " sha256:89731c4e963c287535cebe237fe1cc1370043595145475f7e42a506393bc6a16"
+        ),
+    },
+    "lsq-1": {
+        "krawczyk": (
+            "lsq-krawczyk it=1"
+            " [-54140913894048/61068580610869:-2997473195369612449064692512/3777209176561815288510220537]"
+        ),
+        "gauss-seidel": (
+            "lsq-gauss-seidel it=1"
+            " [-54140913894048/61068580610869:-49778201248416/62635266401077]"
+        ),
+    },
+    "lsq-2": {
+        "krawczyk": (
+            "lsq-krawczyk it=1"
+            " sha256:90b1152f5bfbf1d0ac0af23f0d9b294d6d4f591608364560bf566a5d71a9470b"
+        ),
+        "gauss-seidel": (
+            "lsq-gauss-seidel it=1"
+            " sha256:11e17622aa696db2b8f2ea110ac4982cc98fe3ad801d1af1790a9c45e5361942"
+        ),
+    },
+    "lsq-3": {
+        "krawczyk": (
+            "lsq-krawczyk it=1"
+            " sha256:3edd9c2f6d58ba0fa1f2cf6c7449cd9fc514f27da965e3cfc2cb69f2671f1153"
+        ),
+        "gauss-seidel": (
+            "lsq-gauss-seidel it=2"
+            " sha256:c46ae3eabfe2bc0c032c37229998ee039a128ffd92084a5ebbbd648714d8585c"
+        ),
+    },
+    "mmatrix-1": {
+        "int-ge": "int-ge it=0 [104044/122549:23715/16384]",
+        "jacobi": "jacobi it=2 [104044/122549:23715/16384]",
+        "gauss-seidel": "gauss-seidel it=1 exact [104044/122549:23715/16384]",
+        "krawczyk": "krawczyk it=1 [9280123971/11392237568:23715/16384]",
+        "hbr": "hbr it=0 [104044/122549:23715/16384]",
+        "auto": "diagonal it=0 exact [104044/122549:23715/16384]",
+        "jacobi:unpreconditioned": "jacobi it=2 [104044/122549:23715/16384]",
+        "jacobi:preconditioned": "jacobi it=2 [104044/122549:23715/16384]",
+        "jacobi:max_iter=3": "jacobi it=2 [104044/122549:23715/16384]",
+        "gauss-seidel:unpreconditioned": (
+            "gauss-seidel it=1 exact [104044/122549:23715/16384]"
+        ),
+        "gauss-seidel:preconditioned": "gauss-seidel it=2 [104044/122549:23715/16384]",
+        "gauss-seidel:max_iter=3": (
+            "gauss-seidel it=1 exact [104044/122549:23715/16384]"
+        ),
+        "krawczyk:unpreconditioned": (
+            "krawczyk it=15 unconverged"
+            " sha256:ffb87dcd2160bef12364a5cf7adee478ca823e6fa39430aa037e1975f044bc89"
+        ),
+        "krawczyk:preconditioned": (
+            "krawczyk it=15 unconverged"
+            " sha256:7719ad6deed70fd733eaade49b77729c0a497f157376d7fe8cbb4b7fc757f629"
+        ),
+        "krawczyk:max_iter=3": "krawczyk it=1 [9280123971/11392237568:23715/16384]",
+        "jacobi:far": "jacobi it=1 insolvable",
+        "gauss-seidel:far": "gauss-seidel it=1 insolvable",
+    },
+    "mmatrix-2": {
+        "int-ge": (
+            "int-ge it=0 [192747774897/95234417516:404867481/125739008;"
+            " 28928050272/23808604379:3064457619/1383129088]"
+        ),
+        "jacobi": (
+            "jacobi it=2"
+            " [2809737198616367241/1442021801139765248:404867481/125739008;"
+            " 2078634875982768259/1838474434458876928:3064457619/1383129088]"
+        ),
+        "gauss-seidel": (
+            "gauss-seidel it=1 exact"
+            " [192747774897/95234417516:404867481/125739008;"
+            " 28928050272/23808604379:3064457619/1383129088]"
+        ),
+        "krawczyk": (
+            "krawczyk it=1"
+            " [4842007865382423897/2642587137990025216:404867481/125739008;"
+            " 943330703112404912013/901122214054598598656:3064457619/1383129088]"
+        ),
+        "hbr": (
+            "hbr it=0"
+            " [2809737198616367241/1442021801139765248:404867481/125739008;"
+            " 2078634875982768259/1838474434458876928:3064457619/1383129088]"
+        ),
+        "auto": (
+            "inverse-nonneg it=0 exact"
+            " [192747774897/95234417516:404867481/125739008;"
+            " 28928050272/23808604379:3064457619/1383129088]"
+        ),
+        "jacobi:unpreconditioned": (
+            "jacobi it=15 unconverged"
+            " sha256:71ee3c83d0f3cce15a2a515aa7d0bed189933c75fc8297fcdfe9b67a46332e1a"
+        ),
+        "jacobi:preconditioned": (
+            "jacobi it=15 unconverged"
+            " sha256:4d41e9be54ddc24b2c22abbf0ff692b9caf754eef90cf9cd19010de8fac2c3ee"
+        ),
+        "jacobi:max_iter=3": (
+            "jacobi it=2"
+            " [2809737198616367241/1442021801139765248:404867481/125739008;"
+            " 2078634875982768259/1838474434458876928:3064457619/1383129088]"
+        ),
+        "gauss-seidel:unpreconditioned": (
+            "gauss-seidel it=1 exact"
+            " [192747774897/95234417516:404867481/125739008;"
+            " 28928050272/23808604379:3064457619/1383129088]"
+        ),
+        "gauss-seidel:preconditioned": (
+            "gauss-seidel it=15 unconverged"
+            " sha256:8316c02b8cef96075037604ab57639442f56f878509b9f3af2fbcb243582a51e"
+        ),
+        "gauss-seidel:max_iter=3": (
+            "gauss-seidel it=1 exact"
+            " [192747774897/95234417516:404867481/125739008;"
+            " 28928050272/23808604379:3064457619/1383129088]"
+        ),
+        "krawczyk:unpreconditioned": (
+            "krawczyk it=15 unconverged"
+            " sha256:c45f69ead8f917be3ee42eccae9d8a900d83d4b81d32f0d914cdb5d88e048e67"
+        ),
+        "krawczyk:preconditioned": (
+            "krawczyk it=15 unconverged"
+            " sha256:445b9b99ac92cfdee3335b72ede3077ec166751795950912626ded55009e9d79"
+        ),
+        "krawczyk:max_iter=3": (
+            "krawczyk it=1"
+            " [4842007865382423897/2642587137990025216:404867481/125739008;"
+            " 943330703112404912013/901122214054598598656:3064457619/1383129088]"
+        ),
+        "jacobi:far": "jacobi it=1 insolvable",
+        "gauss-seidel:far": "gauss-seidel it=1 insolvable",
+    },
+    "mmatrix-3": {
+        "int-ge": (
+            "int-ge it=0"
+            " sha256:43474b5c9194a2e97b9f1c6d5b817a7a4d3f25f0ed9d51c7267a0afcfceb85d7"
+        ),
+        "jacobi": (
+            "jacobi it=2"
+            " sha256:97bd63f0e28c947795a555279bb75f6d2e33090d6d1aac2e63d593a7fcb8d80e"
+        ),
+        "gauss-seidel": (
+            "gauss-seidel it=1 exact"
+            " sha256:c542f52c20acbda30dc89dfb15f7da103257e5880275eaf9e395f0a5811654f3"
+        ),
+        "krawczyk": (
+            "krawczyk it=1"
+            " sha256:9422c1b27e649622774181c4e655d3d2785a7de8e90daf19e398f0155d12527e"
+        ),
+        "hbr": (
+            "hbr it=0"
+            " sha256:97bd63f0e28c947795a555279bb75f6d2e33090d6d1aac2e63d593a7fcb8d80e"
+        ),
+        "auto": (
+            "inverse-nonneg it=0 exact"
+            " sha256:c542f52c20acbda30dc89dfb15f7da103257e5880275eaf9e395f0a5811654f3"
+        ),
+        "jacobi:unpreconditioned": (
+            "jacobi it=15 unconverged"
+            " sha256:59e765c48b12b05a7f019ee5cbf79b011a213212f00cf3e5714eb0e6a2481a70"
+        ),
+        "jacobi:preconditioned": (
+            "jacobi it=15 unconverged"
+            " sha256:ecb95d2a0b070009c93f16908e5a1f574aa72312a87de9523ec688517cb64699"
+        ),
+        "jacobi:max_iter=3": (
+            "jacobi it=2"
+            " sha256:97bd63f0e28c947795a555279bb75f6d2e33090d6d1aac2e63d593a7fcb8d80e"
+        ),
+        "gauss-seidel:unpreconditioned": (
+            "gauss-seidel it=1 exact"
+            " sha256:c542f52c20acbda30dc89dfb15f7da103257e5880275eaf9e395f0a5811654f3"
+        ),
+        "gauss-seidel:preconditioned": (
+            "gauss-seidel it=15 unconverged"
+            " sha256:53ac3ad3f15ac39c208c702f23f5e6bc491948946f3d1baf70f6f29f02363847"
+        ),
+        "gauss-seidel:max_iter=3": (
+            "gauss-seidel it=1 exact"
+            " sha256:c542f52c20acbda30dc89dfb15f7da103257e5880275eaf9e395f0a5811654f3"
+        ),
+        "krawczyk:unpreconditioned": "krawczyk it=1 [-4:4; -4:4; -4:4]",
+        "krawczyk:preconditioned": (
+            "krawczyk it=15 unconverged"
+            " sha256:adb4d4a3bff9036a64ff3d244365bbab33f126d888c24f1c81dc0bb95d05bc7b"
+        ),
+        "krawczyk:max_iter=3": (
+            "krawczyk it=1"
+            " sha256:9422c1b27e649622774181c4e655d3d2785a7de8e90daf19e398f0155d12527e"
+        ),
+        "jacobi:far": "jacobi it=1 insolvable",
+        "gauss-seidel:far": "gauss-seidel it=1 insolvable",
+    },
+    "mmatrix-4": {
+        "int-ge": (
+            "int-ge it=0"
+            " sha256:5ea44f722f88cd1309bd7453f4858e4f4b1bdb073973f83b3dd92db5dcd493c8"
+        ),
+        "jacobi": (
+            "jacobi it=2"
+            " sha256:4effe03ad62bffef64d6425aeee394c92e4fc5227c0488ec649850e669b1e101"
+        ),
+        "gauss-seidel": (
+            "gauss-seidel it=1 exact"
+            " sha256:c36c05b82b2761fc74ce62201c7132e9c4733dd0d750ea586bd852b83b0f5a8c"
+        ),
+        "krawczyk": (
+            "krawczyk it=1"
+            " sha256:f4990d5fb30a465d132dc677c3e4510cf968b3c4e325ee0a33623220fccf352a"
+        ),
+        "hbr": (
+            "hbr it=0"
+            " sha256:4effe03ad62bffef64d6425aeee394c92e4fc5227c0488ec649850e669b1e101"
+        ),
+        "auto": (
+            "inverse-nonneg it=0 exact"
+            " sha256:c36c05b82b2761fc74ce62201c7132e9c4733dd0d750ea586bd852b83b0f5a8c"
+        ),
+        "jacobi:unpreconditioned": (
+            "jacobi it=15 unconverged"
+            " sha256:30b1ef2f8f06aee441244e1c4fef1d362d7159f104fd5377ce2c1a6094705a92"
+        ),
+        "jacobi:preconditioned": (
+            "jacobi it=15 unconverged"
+            " sha256:ade381894d900c9771e9f44cb78d929a7bc1f86dc30285e6784fc621ef140313"
+        ),
+        "jacobi:max_iter=3": (
+            "jacobi it=2"
+            " sha256:4effe03ad62bffef64d6425aeee394c92e4fc5227c0488ec649850e669b1e101"
+        ),
+        "gauss-seidel:unpreconditioned": (
+            "gauss-seidel it=1 exact"
+            " sha256:c36c05b82b2761fc74ce62201c7132e9c4733dd0d750ea586bd852b83b0f5a8c"
+        ),
+        "gauss-seidel:preconditioned": (
+            "gauss-seidel it=15 unconverged"
+            " sha256:23785439efb6c79769ca28e004ce9a70478933beb74409e5682f8f1f469a7a5a"
+        ),
+        "gauss-seidel:max_iter=3": (
+            "gauss-seidel it=1 exact"
+            " sha256:c36c05b82b2761fc74ce62201c7132e9c4733dd0d750ea586bd852b83b0f5a8c"
+        ),
+        "krawczyk:unpreconditioned": "krawczyk it=1 [-4:4; -4:4; -4:4; -4:4]",
+        "krawczyk:preconditioned": (
+            "krawczyk it=15 unconverged"
+            " sha256:44525a8c55f8cf3f315c5f9d41d539caa16f77a39d8fce0d0dc9b751798ca501"
+        ),
+        "krawczyk:max_iter=3": (
+            "krawczyk it=1"
+            " sha256:f4990d5fb30a465d132dc677c3e4510cf968b3c4e325ee0a33623220fccf352a"
+        ),
+        "jacobi:far": "jacobi it=1 insolvable",
+        "gauss-seidel:far": "gauss-seidel it=1 insolvable",
+    },
+    "well-1": {
+        "int-ge": "int-ge it=0 [-811480/1171957:-761384/1187339]",
+        "jacobi": "jacobi it=2 [-811480/1171957:-761384/1187339]",
+        "gauss-seidel": "gauss-seidel it=1 exact [-811480/1171957:-761384/1187339]",
+        "krawczyk": "krawczyk it=1 [-811480/1171957:-2253388/3515871]",
+        "hbr": "hbr it=0 [-811480/1171957:-761384/1187339]",
+        "auto": "diagonal it=0 exact [-811480/1171957:-761384/1187339]",
+        "jacobi:unpreconditioned": "jacobi it=2 [-811480/1171957:-761384/1187339]",
+        "jacobi:preconditioned": "jacobi it=2 [-811480/1171957:-761384/1187339]",
+        "jacobi:max_iter=3": "jacobi it=2 [-811480/1171957:-761384/1187339]",
+        "gauss-seidel:unpreconditioned": (
+            "gauss-seidel it=1 exact [-811480/1171957:-761384/1187339]"
+        ),
+        "gauss-seidel:preconditioned": (
+            "gauss-seidel it=2 [-811480/1171957:-761384/1187339]"
+        ),
+        "gauss-seidel:max_iter=3": (
+            "gauss-seidel it=1 exact [-811480/1171957:-761384/1187339]"
+        ),
+        "krawczyk:unpreconditioned": "krawczyk it=2 [-4:472705/131072]",
+        "krawczyk:preconditioned": (
+            "krawczyk it=15 unconverged"
+            " sha256:087fa39b55d377657d645ad3b16cd08b35d30d74655d2688b04b440c8b1a3166"
+        ),
+        "krawczyk:max_iter=3": "krawczyk it=1 [-811480/1171957:-2253388/3515871]",
+        "jacobi:far": "jacobi it=1 insolvable",
+        "gauss-seidel:far": "gauss-seidel it=1 insolvable",
+    },
+    "well-2": {
+        "int-ge": (
+            "int-ge it=0"
+            " [-892394104789/641556193026:-859188193237/804610154242;"
+            " 616612698761/804610154242:768824646281/641556193026]"
+        ),
+        "jacobi": (
+            "jacobi it=2"
+            " [-892394104789/641556193026:-3974012289143336263/3754270719917214294;"
+            " 169120104870601813/224748040872289242:768824646281/641556193026]"
+        ),
+        "gauss-seidel": (
+            "gauss-seidel it=2"
+            " [-892394104789/641556193026:-3974012289143336263/3754270719917214294;"
+            " 169120104870601813/224748040872289242:768824646281/641556193026]"
+        ),
+        "krawczyk": (
+            "krawczyk it=1"
+            " [-892394104789/641556193026:-665670935417/641556193026;"
+            " 234231148706/320778096513:768824646281/641556193026]"
+        ),
+        "hbr": (
+            "hbr it=0"
+            " [-892394104789/641556193026:-3974012289143336263/3754270719917214294;"
+            " 169120104870601813/224748040872289242:768824646281/641556193026]"
+        ),
+        "auto": (
+            "hbr it=0"
+            " [-892394104789/641556193026:-3974012289143336263/3754270719917214294;"
+            " 169120104870601813/224748040872289242:768824646281/641556193026]"
+        ),
+        "jacobi:unpreconditioned": (
+            "jacobi it=15 unconverged"
+            " sha256:4a5e3640b9ac5e1550a6b6e3d43bb3cc77fbbd9e66f2f645ebce850e0bfa06d9"
+        ),
+        "jacobi:preconditioned": (
+            "jacobi it=15 unconverged"
+            " sha256:c9616a5306abd94d74da07f45a696f01f560d26d2665d87fee1d0add723e3775"
+        ),
+        "jacobi:max_iter=3": (
+            "jacobi it=2"
+            " [-892394104789/641556193026:-3974012289143336263/3754270719917214294;"
+            " 169120104870601813/224748040872289242:768824646281/641556193026]"
+        ),
+        "gauss-seidel:unpreconditioned": (
+            "gauss-seidel it=15 unconverged"
+            " sha256:6b9d7da6e0c168761409628cf21dd218a892e2cc08eeb8af0295e3af73eb4fb1"
+        ),
+        "gauss-seidel:preconditioned": (
+            "gauss-seidel it=15 unconverged"
+            " sha256:d4e2b8e3216b239e79d40971b61b9b4dae94bec5784addd0bc9b00162816e84a"
+        ),
+        "gauss-seidel:max_iter=3": (
+            "gauss-seidel it=2"
+            " [-892394104789/641556193026:-3974012289143336263/3754270719917214294;"
+            " 169120104870601813/224748040872289242:768824646281/641556193026]"
+        ),
+        "krawczyk:unpreconditioned": "krawczyk it=1 [-4:4; -4:4]",
+        "krawczyk:preconditioned": (
+            "krawczyk it=15 unconverged"
+            " sha256:184a8f811fecd51d2282db49229a06445149cc25f1665e10963b89119af4c760"
+        ),
+        "krawczyk:max_iter=3": (
+            "krawczyk it=1"
+            " [-892394104789/641556193026:-665670935417/641556193026;"
+            " 234231148706/320778096513:768824646281/641556193026]"
+        ),
+        "jacobi:far": "jacobi it=1 insolvable",
+        "gauss-seidel:far": "gauss-seidel it=1 insolvable",
+    },
+    "well-3": {
+        "int-ge": (
+            "int-ge it=0"
+            " sha256:7f859dd0e445ec40be62e8d331bdabe90a548b07862a583e0e7a529eb24d5727"
+        ),
+        "jacobi": (
+            "jacobi it=2"
+            " sha256:76880d9e5b5cb7e271b0a824f72e3532e387ab53bf3014256d619dd00da53ff6"
+        ),
+        "gauss-seidel": (
+            "gauss-seidel it=2"
+            " sha256:76880d9e5b5cb7e271b0a824f72e3532e387ab53bf3014256d619dd00da53ff6"
+        ),
+        "krawczyk": (
+            "krawczyk it=1"
+            " sha256:485653b07953533c576a61ae4cc691e993b4492515ccc7e4203a7c20ddbf96a9"
+        ),
+        "hbr": (
+            "hbr it=0"
+            " sha256:76880d9e5b5cb7e271b0a824f72e3532e387ab53bf3014256d619dd00da53ff6"
+        ),
+        "auto": (
+            "hbr it=0"
+            " sha256:76880d9e5b5cb7e271b0a824f72e3532e387ab53bf3014256d619dd00da53ff6"
+        ),
+        "jacobi:unpreconditioned": (
+            "jacobi it=15 unconverged"
+            " sha256:1be022a86b4d39c188d7c323023cf322a5d5b63ed2010cc8858040953111ef5b"
+        ),
+        "jacobi:preconditioned": (
+            "jacobi it=15 unconverged"
+            " sha256:0912541f8863e12d28e920d7cac086245401a2a58dffb75d2678d9944c34eba4"
+        ),
+        "jacobi:max_iter=3": (
+            "jacobi it=2"
+            " sha256:76880d9e5b5cb7e271b0a824f72e3532e387ab53bf3014256d619dd00da53ff6"
+        ),
+        "gauss-seidel:unpreconditioned": (
+            "gauss-seidel it=15 unconverged"
+            " sha256:bda3271b81efa75ebf6a58440c24864abff2e27b1e79aa5ffe03ffcb433cc17b"
+        ),
+        "gauss-seidel:preconditioned": (
+            "gauss-seidel it=15 unconverged"
+            " sha256:cbe0b33a04023a90501de07d71bef6163c5bc55eceaceada0cabdf15e6053193"
+        ),
+        "gauss-seidel:max_iter=3": (
+            "gauss-seidel it=2"
+            " sha256:76880d9e5b5cb7e271b0a824f72e3532e387ab53bf3014256d619dd00da53ff6"
+        ),
+        "krawczyk:unpreconditioned": "krawczyk it=1 [-4:4; -4:4; -4:4]",
+        "krawczyk:preconditioned": (
+            "krawczyk it=15 unconverged"
+            " sha256:40711ed4943c973d3a10861218c34d2d15f666fd3937cca73ce104c2cadc52e3"
+        ),
+        "krawczyk:max_iter=3": (
+            "krawczyk it=1"
+            " sha256:485653b07953533c576a61ae4cc691e993b4492515ccc7e4203a7c20ddbf96a9"
+        ),
+        "jacobi:far": "jacobi it=1 insolvable",
+        "gauss-seidel:far": "gauss-seidel it=1 insolvable",
+    },
+    "well-4": {
+        "int-ge": (
+            "int-ge it=0"
+            " sha256:3fd435736fe676a41c6e808892d82ee71b5c70d2f62884df5987d4d80a92a412"
+        ),
+        "jacobi": (
+            "jacobi it=2"
+            " sha256:ca94fa366bae988cd9c2fe49b2c5a98579a8611403ffae9922f6509a27bf749d"
+        ),
+        "gauss-seidel": (
+            "gauss-seidel it=2"
+            " sha256:ca94fa366bae988cd9c2fe49b2c5a98579a8611403ffae9922f6509a27bf749d"
+        ),
+        "krawczyk": (
+            "krawczyk it=1"
+            " sha256:d85c15f8101c02ef7d35fe7b0ec4ba22e106e2130f51235cfdbd39cbb7a22f94"
+        ),
+        "hbr": (
+            "hbr it=0"
+            " sha256:ca94fa366bae988cd9c2fe49b2c5a98579a8611403ffae9922f6509a27bf749d"
+        ),
+        "auto": (
+            "hbr it=0"
+            " sha256:ca94fa366bae988cd9c2fe49b2c5a98579a8611403ffae9922f6509a27bf749d"
+        ),
+        "jacobi:unpreconditioned": (
+            "jacobi it=15 unconverged"
+            " sha256:d94e9d927304bc6676727c0f4e1ddc3dd477a6abbaeb158912a1bd9a17e3aeda"
+        ),
+        "jacobi:preconditioned": (
+            "jacobi it=15 unconverged"
+            " sha256:dd4fcfeed302e0131cba8cc2d33ed019a018d576a95a41c3ac7bbf4a66c36c80"
+        ),
+        "jacobi:max_iter=3": (
+            "jacobi it=2"
+            " sha256:ca94fa366bae988cd9c2fe49b2c5a98579a8611403ffae9922f6509a27bf749d"
+        ),
+        "gauss-seidel:unpreconditioned": (
+            "gauss-seidel it=15 unconverged"
+            " sha256:c3a4f9e68f1d756db2da7b6be7ad8ed9ba0fe1161d17a4997ebf841fca3fece9"
+        ),
+        "gauss-seidel:preconditioned": (
+            "gauss-seidel it=15 unconverged"
+            " sha256:ce0ab53f835c1e183fa28d81c3a288bbf7154abe2f3136c6317e468d9a63c75e"
+        ),
+        "gauss-seidel:max_iter=3": (
+            "gauss-seidel it=2"
+            " sha256:ca94fa366bae988cd9c2fe49b2c5a98579a8611403ffae9922f6509a27bf749d"
+        ),
+        "krawczyk:unpreconditioned": "krawczyk it=1 [-4:4; -4:4; -4:4; -4:4]",
+        "krawczyk:preconditioned": (
+            "krawczyk it=15 unconverged"
+            " sha256:f00ccde3d9019ffad449a01fec8ee0196a6251949896affa37f0332ca89e2f52"
+        ),
+        "krawczyk:max_iter=3": (
+            "krawczyk it=1"
+            " sha256:d85c15f8101c02ef7d35fe7b0ec4ba22e106e2130f51235cfdbd39cbb7a22f94"
+        ),
+        "jacobi:far": "jacobi it=1 insolvable",
+        "gauss-seidel:far": "gauss-seidel it=1 insolvable",
+    },
+}
+
+
+class TestEnclosureTable:
+    """Every enclosure route on seeded n = 1..4 systems, pinned as
+    literals: the method, the iteration count, the flags and the box (or
+    the error type).  Well-conditioned, M-matrix and general (radius 1/2)
+    systems; least squares and inverse enclosures on small ones."""
+
+    @pytest.mark.parametrize("key", sorted(ENCLOSURE_TABLE))
+    def test_outcomes_match_table(self, key):
+        assert _outcomes(key) == ENCLOSURE_TABLE[key]
