@@ -8,6 +8,7 @@ Exit codes: 0 decided/computed, 2 unknown verdict, 3 precondition error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from typing import Optional, Sequence, TextIO
@@ -113,7 +114,9 @@ def _load_point_vector(path: str):
     return tuple(values)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call of ``run``."""
     parser = argparse.ArgumentParser(
         prog="intlinalg",
         description="Exact rational interval linear algebra toolkit",

@@ -138,7 +138,8 @@ def gen_regular_matrix(n: int, seed: int, shrink=Fraction(1, 2)) -> IntervalMatr
     if row_sum > 0:
         scaled = scaled.scale(shrink / row_sum)
     matrix = IntervalMatrix.from_midpoint_radius(center, scaled)
-    assert rho_less_than(center.inverse().abs() @ scaled, 1)
+    if not rho_less_than(center.inverse().abs() @ scaled, 1):
+        raise AssertionError("the scaled radius fails rho(|C^-1| R) < 1")
     return matrix
 
 
@@ -240,7 +241,8 @@ def contraction_radius_matrix(n: int, seed: int) -> RealMatrix:
     )
     if top > 0:
         matrix = matrix.scale(Fraction(3, 4) / top)
-    assert rho_less_than(matrix, 1)
+    if not rho_less_than(matrix, 1):
+        raise AssertionError("the scaled radius matrix has rho >= 1")
     return matrix
 
 

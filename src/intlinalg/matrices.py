@@ -482,21 +482,6 @@ class IntervalMatrix:
             out.append(acc)
         return IntervalVector(out)
 
-    def left_mul_real(self, c: RealMatrix) -> "IntervalMatrix":
-        """Sound interval evaluation of C @ A for a rational matrix C."""
-        if c.n != self.m:
-            raise DimensionMismatch(f"matmul {c.shape} @ {self.shape}")
-        out = []
-        for i in range(c.m):
-            row = []
-            for j in range(self.n):
-                acc = Interval.point(0)
-                for k in range(self.m):
-                    acc = acc + self.entries[k][j].scale(c.rows[i][k])
-                row.append(acc)
-            out.append(row)
-        return IntervalMatrix(out)
-
     def matmul_interval(self, other: "IntervalMatrix") -> "IntervalMatrix":
         """Sound interval evaluation of A @ B."""
         if self.n != other.m:

@@ -235,23 +235,6 @@ def hull_bidiagonal(matrix: IntervalMatrix, rhs: IntervalVector) -> SolveReport:
     return SolveReport(IntervalVector(xs), method, True, 0, False)
 
 
-def _inverse_nonneg_bounds(
-    matrix: IntervalMatrix,
-) -> Optional[Tuple[RealMatrix, RealMatrix]]:
-    """(inverse lower bound, inverse upper bound) when both endpoint inverses
-    exist and are nonnegative; None otherwise."""
-    if not matrix.is_square():
-        return None
-    try:
-        inv_lo = matrix.lower().inverse()
-        inv_hi = matrix.upper().inverse()
-    except SingularMatrix:
-        return None
-    if inv_lo.is_nonnegative() and inv_hi.is_nonnegative():
-        return inv_hi, inv_lo
-    return None
-
-
 def is_interval_m_matrix(matrix: IntervalMatrix) -> bool:
     """Every member an M-matrix: nonpositive off-diagonal uppers and an
     M-matrix lower bound."""
@@ -276,13 +259,21 @@ def monotone_hull(matrix: IntervalMatrix, rhs: IntervalVector) -> IntervalVector
     solves yields the exact hull.
     """
     _check_system(matrix, rhs)
-    if _inverse_nonneg_bounds(matrix) is None:
-        raise PreconditionNotVerifiable(
-            "monotone hull needs nonnegative endpoint inverses"
-        )
     n = matrix.n
     lo_m = matrix.lower()
     hi_m = matrix.upper()
+    try:
+        nonneg = (
+            matrix.is_square()
+            and lo_m.inverse().is_nonnegative()
+            and hi_m.inverse().is_nonnegative()
+        )
+    except SingularMatrix:
+        nonneg = False
+    if not nonneg:
+        raise PreconditionNotVerifiable(
+            "monotone hull needs nonnegative endpoint inverses"
+        )
     b_lo = rhs.lower()
     b_hi = rhs.upper()
 
@@ -326,44 +317,39 @@ def _box_shift(box: IntervalVector, v: Sequence[Fraction]) -> IntervalVector:
     return IntervalVector([e.shift(q) for e, q in zip(box.entries, v)])
 
 
-def _precondition(matrix: IntervalMatrix, rhs: IntervalVector):
-    center, _ = matrix.midpoint_radius()
+def _preconditioned(
+    matrix: IntervalMatrix, rhs: IntervalVector
+) -> Tuple[RealMatrix, Vector, Vector]:
+    """(p, x_c, q) = (|C^-1| R, C^-1 b_c, |C^-1| d) for the midpoint C.
+
+    C^-1 C = I exactly, so the preconditioned system C^-1 A x = C^-1 b is
+    [I - p, I + p] x = [x_c - q, x_c + q].
+    """
+    center, radius = matrix.midpoint_radius()
+    b_mid, b_rad = rhs.midpoint_radius()
     try:
         inv = center.inverse()
     except SingularMatrix:
         raise PreconditionNotVerifiable("midpoint matrix is not invertible")
-    pre_a = matrix.left_mul_real(inv)
-    pre_b = IntervalVector.from_matrix(rhs.as_matrix().left_mul_real(inv))
-    return inv, pre_a, pre_b
+    mag = inv.abs()
+    return mag @ radius, inv.matvec(b_mid), mag.matvec(b_rad)
 
 
-def _contraction_bound(
-    matrix: IntervalMatrix, rhs: IntervalVector, inv: RealMatrix
-) -> Optional[Tuple[RealMatrix, Vector, Vector, Vector]]:
-    """(p, x_c, q, u) with p = |C^-1| R, x_c = C^-1 b_c, q = |C^-1| d and
-    u = (I - p)^-1 (|x_c| + q), which bounds |x| on the solution set; None
-    when rho(p) < 1 is not provable."""
-    _, radius = matrix.midpoint_radius()
-    b_mid, b_rad = rhs.midpoint_radius()
-    p = inv.abs() @ radius
+def _contraction_bound(p: RealMatrix, xc: Vector, q: Vector) -> Optional[Vector]:
+    """u = (I - p)^-1 (|x_c| + q), which bounds |x| on the solution set;
+    None when rho(p) < 1 is not provable."""
     if not rho_less_than(p, 1):
         return None
-    xc = inv.matvec(b_mid)
-    q = inv.abs().matvec(b_rad)
-    u = (RealMatrix.identity(matrix.n) - p).inverse().matvec(vec_add(vec_abs(xc), q))
-    return p, xc, q, u
+    return (RealMatrix.identity(p.n) - p).inverse().matvec(vec_add(vec_abs(xc), q))
 
 
-def _auto_initial(
-    matrix: IntervalMatrix, rhs: IntervalVector, inv: RealMatrix
-) -> IntervalVector:
-    """Rigorous starting box when rho(|C| R) < 1 is provable."""
-    bound = _contraction_bound(matrix, rhs, inv)
-    if bound is None:
+def _auto_initial(p: RealMatrix, xc: Vector, q: Vector) -> IntervalVector:
+    """Rigorous starting box when rho(|C^-1| R) < 1 is provable."""
+    u = _contraction_bound(p, xc, q)
+    if u is None:
         raise NoInitialEnclosure(
-            "no starting box: rho(|C| R) < 1 not provable and none supplied"
+            "no starting box: rho(|C^-1| R) < 1 not provable and none supplied"
         )
-    p, xc, q, u = bound
     box = IntervalVector.from_bounds(tuple(-v for v in u), u)
     spread = vec_add(p.matvec(u), q)  # |C^-1| (R u + d)
     centered = IntervalVector.from_bounds(vec_sub(xc, spread), vec_add(xc, spread))
@@ -426,6 +412,32 @@ def _interval_gauss_elimination(
     return IntervalVector(xs)
 
 
+def _sweep(
+    a: IntervalMatrix, b: IntervalVector, box: IntervalVector, in_place: bool
+) -> Optional[IntervalVector]:
+    """One sweep x_i = (b_i - sum_{j != i} a_ij x_j) / a_ii, intersected
+    with x_i; None when a coordinate empties.
+
+    In place (Gauss-Seidel) the sum reads the entries already updated in
+    this sweep; otherwise (Jacobi) it reads the old box.  No diagonal
+    entry of a may contain zero.
+    """
+    old = box.entries
+    new = list(old)
+    read = new if in_place else old
+    n = len(old)
+    for i in range(n):
+        acc = b[i]
+        for j in range(n):
+            if j != i:
+                acc = acc - a[i, j] * read[j]
+        cap = (acc / a[i, i]).intersect(old[i])
+        if cap is None:
+            return None
+        new[i] = cap
+    return IntervalVector(new)
+
+
 def _iterate(
     matrix: IntervalMatrix,
     rhs: IntervalVector,
@@ -437,63 +449,36 @@ def _iterate(
         raise NotSquare("iterative methods need a square matrix")
     n = matrix.n
     if opts.precondition is False:
-        pre_a, pre_b = matrix, rhs
         if opts.initial is None:
             raise NoInitialEnclosure("unpreconditioned iteration needs a start box")
-        box = opts.initial
-        inv = None
+        pre_a, pre_b, box = matrix, rhs, opts.initial
     else:
-        inv, pre_a, pre_b = _precondition(matrix, rhs)
-        box = opts.initial if opts.initial is not None else _auto_initial(
-            matrix, rhs, inv
+        p, xc, q = _preconditioned(matrix, rhs)
+        eye = RealMatrix.identity(n)
+        pre_a = IntervalMatrix.from_bounds(eye - p, eye + p)
+        pre_b = IntervalVector.from_bounds(vec_sub(xc, q), vec_add(xc, q))
+        box = opts.initial if opts.initial is not None else _auto_initial(p, xc, q)
+    if method == "krawczyk":
+        identity = IntervalMatrix.identity(n)
+        gap = IntervalMatrix(
+            [[identity[i, j] - pre_a[i, j] for j in range(n)] for i in range(n)]
         )
-    if method in ("jacobi", "gauss-seidel"):
-        if any(pre_a[i, i].contains_zero() for i in range(n)):
-            raise PivotContainsZero("a preconditioned diagonal entry contains zero")
-    identity = IntervalMatrix.identity(n)
+    elif any(pre_a[i, i].contains_zero() for i in range(n)):
+        raise PivotContainsZero("a preconditioned diagonal entry contains zero")
     iterations = 0
     while iterations < opts.max_iter:
         iterations += 1
-        if method == "jacobi":
-            new_entries: List[Interval] = []
-            for i in range(n):
-                acc = pre_b[i]
-                for j in range(n):
-                    if j != i:
-                        acc = acc - pre_a[i, j] * box[j]
-                new_entries.append(acc / pre_a[i, i])
-            candidate = IntervalVector(new_entries)
-        elif method == "gauss-seidel":
-            work = list(box.entries)
-            empty = False
-            for i in range(n):
-                acc = pre_b[i]
-                for j in range(n):
-                    if j != i:
-                        acc = acc - pre_a[i, j] * work[j]
-                cap = (acc / pre_a[i, i]).intersect(work[i])
-                if cap is None:
-                    empty = True
-                    break
-                work[i] = cap
-            if empty:
-                return SolveReport(None, method, False, iterations, True)
-            candidate = IntervalVector(work)
-        else:  # krawczyk
+        if method == "krawczyk":
             mid, _ = box.midpoint_radius()
             exact_prod = pre_a.matvec_point(mid)
             residual = IntervalVector(
                 [pre_b[i] - exact_prod[i] for i in range(n)]
             )
-            gap = IntervalMatrix(
-                [
-                    [identity[i, j] - pre_a[i, j] for j in range(n)]
-                    for i in range(n)
-                ]
-            )
             offset = IntervalVector([box[i].shift(-mid[i]) for i in range(n)])
             candidate = _box_shift(_box_add(residual, gap.matvec_box(offset)), mid)
-        new_box = candidate.intersect(box)
+            new_box = candidate.intersect(box)
+        else:
+            new_box = _sweep(pre_a, pre_b, box, method == "gauss-seidel")
         if new_box is None:
             return SolveReport(None, method, False, iterations, True)
         if new_box == box:
@@ -502,22 +487,14 @@ def _iterate(
     return SolveReport(box, method, False, iterations, False, converged=False)
 
 
-def _hbr_enclosure(matrix: IntervalMatrix, rhs: IntervalVector) -> SolveReport:
-    """Closed-form enclosure under the proven contraction rho(|C| R) < 1."""
-    if not matrix.is_square():
-        raise NotSquare("the closed-form enclosure needs a square matrix")
-    center, _ = matrix.midpoint_radius()
-    try:
-        inv = center.inverse()
-    except SingularMatrix:
-        raise PreconditionNotVerifiable("midpoint matrix is not invertible")
-    bound = _contraction_bound(matrix, rhs, inv)
-    if bound is None:
-        raise PreconditionNotVerifiable("rho(|C| R) < 1 is not provable")
-    p, xc, _, xstar = bound
+def _hbr_enclosure(p: RealMatrix, xc: Vector, q: Vector) -> SolveReport:
+    """Closed-form enclosure under the proven contraction rho(|C^-1| R) < 1."""
+    xstar = _contraction_bound(p, xc, q)
+    if xstar is None:
+        raise PreconditionNotVerifiable("rho(|C^-1| R) < 1 is not provable")
     lo = []
     hi = []
-    for i in range(matrix.n):
+    for i in range(p.n):
         pii = p.rows[i][i]
         up = xstar[i] + (xc[i] - abs(xc[i])) / (1 - pii)
         hi.append(max(up, (1 - pii) * up / (1 + pii)))
@@ -539,36 +516,20 @@ def enclosure(
         box = _interval_gauss_elimination(matrix, rhs)
         return SolveReport(box, "int-ge", False, 0, False)
     if method == "hbr":
-        return _hbr_enclosure(matrix, rhs)
+        if not matrix.is_square():
+            raise NotSquare("the closed-form enclosure needs a square matrix")
+        return _hbr_enclosure(*_preconditioned(matrix, rhs))
     if method == "gauss-seidel" and opts.precondition is not True:
         if is_interval_m_matrix(matrix):
             box = monotone_hull(matrix, rhs)
-            sweep = _plain_gs_sweep(matrix, rhs, box)
-            assert sweep == box  # the exact hull is a fixpoint of the sweep
+            if _sweep(matrix, rhs, box, True) != box:
+                raise AssertionError(
+                    "the exact hull is not a fixpoint of the Gauss-Seidel sweep"
+                )
             return SolveReport(box, "gauss-seidel", True, 1, False)
     if method in ("jacobi", "gauss-seidel", "krawczyk"):
         return _iterate(matrix, rhs, opts, method)
     raise ValueError(f"unknown enclosure method {method!r}")
-
-
-def _plain_gs_sweep(
-    matrix: IntervalMatrix, rhs: IntervalVector, box: IntervalVector
-) -> IntervalVector:
-    """One unpreconditioned Gauss-Seidel sweep (0 must be outside the diagonal)."""
-    n = matrix.n
-    if any(matrix[i, i].contains_zero() for i in range(n)):
-        raise DiagonalContainsZero("a diagonal entry contains zero")
-    work = list(box.entries)
-    for i in range(n):
-        acc = rhs[i]
-        for j in range(n):
-            if j != i:
-                acc = acc - matrix[i, j] * work[j]
-        cap = (acc / matrix[i, i]).intersect(work[i])
-        if cap is None:
-            raise AssertionError("sweep emptied a hull coordinate")
-        work[i] = cap
-    return IntervalVector(work)
 
 
 def lsq_enclosure(
@@ -607,11 +568,13 @@ def solve_auto(
             return hull_bidiagonal(matrix, rhs)
         except (NotBidiagonal, DiagonalContainsZero):
             pass
-        if _inverse_nonneg_bounds(matrix) is not None:
+        try:
             box = monotone_hull(matrix, rhs)
             return SolveReport(box, "inverse-nonneg", True, 0, False)
+        except PreconditionNotVerifiable:
+            pass
         try:
-            return _hbr_enclosure(matrix, rhs)
+            return _hbr_enclosure(*_preconditioned(matrix, rhs))
         except PreconditionNotVerifiable:
             pass
     if matrix.n <= 10:

@@ -1,5 +1,8 @@
 """Shared strategies and helpers for the test suite."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -48,3 +51,21 @@ def real_matrices(m, n, max_num=6, max_den=4):
 def grid_sample(rng, interval: Interval, grid=1 << 10) -> Fraction:
     k = rng.randint(0, grid)
     return interval.lo + (interval.hi - interval.lo) * Fraction(k, grid)
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+def run_under_optimize(code: str) -> str:
+    """Standard output of ``code`` run by ``python -O`` on this source tree;
+    the run must exit 0."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", "assert False, 'asserts must be off'\n" + code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout

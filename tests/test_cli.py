@@ -1,6 +1,9 @@
 """Command-line front end: output grammar, exit codes, round trips."""
 
 import io
+import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -8,6 +11,8 @@ import pytest
 from intlinalg import format_imx, format_imx_vector, parse_imx
 from intlinalg.cli import run
 from intlinalg.generate import well_conditioned_system
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def invoke(*argv):
@@ -306,3 +311,45 @@ class TestExitCodes:
         assert code in (0, 2)  # verdict-dependent, must not be an error code
         code, fields, _ = invoke("check", "regular", files["wide.imx"], "--cond", "2")
         assert code == 2
+
+
+def run_in_one_process(argvs):
+    """[exit code, stdout, stderr] of each ``cli.run`` call, all made in one
+    fresh interpreter, with the ``time_ms=`` lines dropped."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from intlinalg import cli\n"
+        "results = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        rc = cli.run(argv, out)\n"
+        "    results.append([rc, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(results))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return [
+        [rc, [l for l in out.splitlines() if not l.startswith("time_ms=")], err]
+        for rc, out, err in json.loads(done.stdout)
+    ]
+
+
+def test_reused_parser_matches_fresh_calls(files):
+    """The parser is built once per process: a usage error and then two
+    different subcommands print what each prints in a fresh interpreter."""
+    argvs = [
+        ["solve", files["identity.imx"]],
+        ["solve", files["identity.imx"], files["rhs.imx"], "--method", "krawczyk"],
+        ["check", "regular", files["wide.imx"], "--exact"],
+    ]
+    together = run_in_one_process(argvs)
+    assert [rc for rc, _, _ in together] == [1, 0, 0]
+    assert together == [run_in_one_process([argv])[0] for argv in argvs]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import run_under_optimize
 from intlinalg import rho_less_than
 from intlinalg.generate import (
     bidiagonal_system,
@@ -91,3 +92,20 @@ def test_class_validation():
         gen_interval_matrix(3, 2, 0, F(1, 2), "mmatrix")
     with pytest.raises(ValueError):
         gen_interval_matrix(2, 2, 0, F(-1, 2))
+
+
+@pytest.mark.parametrize(
+    "call", ["gen_regular_matrix(2, 0)", "contraction_radius_matrix(2, 0)"]
+)
+def test_contraction_check_raises_under_optimize(call):
+    """Both generators check rho < 1 on what they built with an explicit
+    raise, which ``python -O`` keeps."""
+    code = (
+        "from intlinalg import generate\n"
+        "generate.rho_less_than = lambda *args: False\n"
+        "try:\n"
+        f"    generate.{call}\n"
+        "except AssertionError:\n"
+        "    print('raised')\n"
+    )
+    assert run_under_optimize(code) == "raised\n"

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import grid_sample
+from conftest import grid_sample, run_under_optimize
 from intlinalg import (
     Interval,
     IntervalInverse,
@@ -52,7 +52,12 @@ from intlinalg.generate import (
     well_conditioned_system,
 )
 from intlinalg.matrices import SignVector
-from intlinalg.systems import is_interval_m_matrix, monotone_hull, parametric_witness
+from intlinalg.systems import (
+    _preconditioned,
+    is_interval_m_matrix,
+    monotone_hull,
+    parametric_witness,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -578,34 +583,48 @@ class TestAutoDispatch:
         assert report.method in ("hbr", "hull")
         assert report.box.contains_box(hull_exact(a, b).box)
 
+    def test_inverse_nonneg_route_inverts_each_endpoint_once(self, monkeypatch):
+        calls = []
+        real = RealMatrix.inverse
+
+        def counted(matrix):
+            calls.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(RealMatrix, "inverse", counted)
+        assert solve_auto(*mmatrix_system(3, 0)).method == "inverse-nonneg"
+        assert len(calls) == 2
+
 
 def test_starting_box_check_raises_under_optimize():
     """The two starting boxes of ``_auto_initial`` must meet; the check is an
     explicit raise, so ``python -O`` keeps it."""
     code = (
         "from fractions import Fraction\n"
-        "from intlinalg import IntervalMatrix, IntervalVector, RealMatrix, systems\n"
-        "assert False, 'asserts must be off'\n"
-        "a = IntervalMatrix.identity(1)\n"
-        "b = IntervalVector.degenerate([1])\n"
-        "p = RealMatrix([[0]])\n"
-        "systems._contraction_bound = lambda *args: (\n"
-        "    p, (Fraction(100),), (Fraction(0),), (Fraction(1),))\n"
+        "from intlinalg import RealMatrix, systems\n"
+        "systems._contraction_bound = lambda *args: (Fraction(1),)\n"
         "try:\n"
-        "    systems._auto_initial(a, b, RealMatrix.identity(1))\n"
+        "    systems._auto_initial(\n"
+        "        RealMatrix([[0]]), (Fraction(100),), (Fraction(0),))\n"
         "except AssertionError:\n"
         "    print('raised')\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
+    assert run_under_optimize(code) == "raised\n"
+
+
+def test_mmatrix_fixpoint_check_raises_under_optimize():
+    """The M-matrix Gauss-Seidel route checks that the exact hull is a
+    fixpoint of the sweep with an explicit raise, which ``python -O`` keeps."""
+    code = (
+        "from intlinalg import systems\n"
+        "from intlinalg.generate import mmatrix_system\n"
+        "systems._sweep = lambda *args: None\n"
+        "try:\n"
+        "    systems.enclosure(*mmatrix_system(2, 0), 'gauss-seidel')\n"
+        "except AssertionError:\n"
+        "    print('raised')\n"
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "raised\n"
+    assert run_under_optimize(code) == "raised\n"
 
 
 ITERATIVE = ("jacobi", "gauss-seidel", "krawczyk")
@@ -1343,3 +1362,38 @@ class TestEnclosureTable:
     @pytest.mark.parametrize("key", sorted(ENCLOSURE_TABLE))
     def test_outcomes_match_table(self, key):
         assert _outcomes(key) == ENCLOSURE_TABLE[key]
+
+    @pytest.mark.parametrize("family", ["well", "mmatrix", "general"])
+    def test_preconditioned_system_equals_interval_products(self, family):
+        """[I - p, I + p] and [x_c - q, x_c + q] equal C^-1 A and C^-1 b
+        summed term by term as intervals, sum_k c_ik [A]_kj."""
+        for n in range(1, 5):
+            a, b = _system(family, n)
+            center, _ = a.midpoint_radius()
+            if center.det() == 0:
+                continue
+            c = center.inverse().rows
+
+            def times(rows):
+                return [
+                    [
+                        sum(
+                            (rows[k][j].scale(c[i][k]) for k in range(n)),
+                            Interval.point(0),
+                        )
+                        for j in range(len(rows[0]))
+                    ]
+                    for i in range(n)
+                ]
+
+            p, xc, q = _preconditioned(a, b)
+            assert times(a.entries) == [
+                [
+                    Interval((i == j) - p.rows[i][j], (i == j) + p.rows[i][j])
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+            assert times([[e] for e in b.entries]) == [
+                [Interval(x - r, x + r)] for x, r in zip(xc, q)
+            ]
