@@ -1,6 +1,7 @@
 """Spectral enclosures: eigenvalue ranges, spectral radii, singular values,
 and exact definiteness decisions."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -80,6 +81,87 @@ class TestSymEigenRange:
         lo, hi = sym_eigen_range(RealMatrix.diag([1, 3]), Fraction(1, 4))
         assert lo.value.contains(1)
         assert hi.value.contains(3)
+
+
+TABLE_TOLS = (F(1, 4), F(1, 10**8), F(1, 10**12))
+
+
+def _householder(v):
+    """The rational orthogonal reflection I - 2 v v^T / v^T v."""
+    n = len(v)
+    vv = sum(x * x for x in v)
+    return RealMatrix(
+        [[F(int(i == j)) - 2 * v[i] * v[j] / vv for j in range(n)] for i in range(n)]
+    )
+
+
+def _table_matrices(n):
+    """Two seeded symmetric matrices, one with a repeated spectrum, and one
+    rank-deficient Gram matrix."""
+    rng = random.Random(f"eigen-table-{n}")
+
+    def random_symmetric():
+        raw = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                raw[i][j] = raw[j][i] = F(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+        return RealMatrix(raw)
+
+    q = _householder([F(rng.randint(1, 3)) for _ in range(n)])
+    spectrum = RealMatrix.diag([F(rng.choice((-1, 2))) for _ in range(n)])
+    b = RealMatrix(
+        [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(max(1, n // 2))]
+    )
+    return {
+        "random-a": random_symmetric(),
+        "random-b": random_symmetric(),
+        "repeated": q @ spectrum @ q,
+        "gram": b.transpose() @ b,
+    }
+
+
+def _range_text(matrix, tol):
+    lo, hi = sym_eigen_range(matrix, tol)
+    return f"{lo.value.lo}:{lo.value.hi} {hi.value.lo}:{hi.value.hi}"
+
+
+# integer spectra, where bisection at tol 1/4 can land exactly on an
+# eigenvalue
+EIGEN_RANGE_HITS = {
+    "diag(1,3)": (RealMatrix.diag([1, 3]), "1/2:1 5/2:3"),
+    "[[2,1],[1,2]]": (RealMatrix([[2, 1], [1, 2]]), "1/2:1 5/2:3"),
+    "diag(2,2,2)": (RealMatrix.diag([2, 2, 2]), "3/2:2 3/2:2"),
+    "zeros(2)": (RealMatrix.zeros(2, 2), "-1/2:0 -1/2:0"),
+    "ones(3)": (RealMatrix.ones(3, 3), "-1/8:1/4 23/8:13/4"),
+}
+
+# SHA-256 of the lines "n=<n> tol=<tol> <min lo:hi> <max lo:hi>" over
+# n = 1..7 and TABLE_TOLS
+EIGEN_RANGE_TABLE = {
+    "random-a": "71e1b1a858d53cbe64269970c7eae57ae73322d7df9374d9f7734ea64f9e065f",
+    "random-b": "49b7d9c95c8e4ec4010d94d40263e9d8c3d402621027e634d3327e5d8828d1e9",
+    "repeated": "8d9b2237e84a7ad0f45c9216cbd872120b880d5a38cbeb26de7e7d5b7f4ff4d2",
+    "gram": "92f79e18745b7a5738d998816f9e7786422adad62f05039381348d8411595cc2",
+}
+
+
+class TestEigenRangeTable:
+    """Pinned endpoints of point eigenvalue enclosures."""
+
+    @pytest.mark.parametrize("name", sorted(EIGEN_RANGE_HITS))
+    def test_exact_hits(self, name):
+        matrix, expected = EIGEN_RANGE_HITS[name]
+        assert _range_text(matrix, F(1, 4)) == expected
+
+    @pytest.mark.parametrize("kind", sorted(EIGEN_RANGE_TABLE))
+    def test_seeded_corpus(self, kind):
+        lines = [
+            f"n={n} tol={tol} {_range_text(_table_matrices(n)[kind], tol)}"
+            for n in range(1, 8)
+            for tol in TABLE_TOLS
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == EIGEN_RANGE_TABLE[kind]
 
 
 class TestSpectralRadius:
