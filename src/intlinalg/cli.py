@@ -34,6 +34,14 @@ EXIT_USAGE = 1
 EXIT_UNKNOWN = 2
 EXIT_PRECONDITION = 3
 
+# the sufficient conditions that ``check PROPERTY --cond K`` can name
+_CONDITIONS = {
+    "regular": (1, 2, 3),
+    "singular": (1, 2, 3),
+    "fullrank": (1, 2),
+    "strong-pd": (1, 2),
+}
+
 
 def _fmt_q(value) -> str:
     """Every rational the CLI prints goes through here.
@@ -236,8 +244,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_check(args, out: TextIO) -> int:
-    matrix = _load_matrix(args.matrix)
     prop = args.property
+    conds = _CONDITIONS.get(prop)
+    if args.cond is not None and conds is not None and args.cond not in conds:
+        raise ParseError(
+            f"--cond for {prop} must be one of {', '.join(map(str, conds))}"
+        )
+    matrix = _load_matrix(args.matrix)
     if prop in ("regular", "singular"):
         if args.cond is not None:
             fn = (
@@ -437,14 +450,16 @@ def _run_eig(args, out: TextIO) -> int:
 
 def _run_gen(args, out: TextIO) -> int:
     radius = parse_rational(args.radius)
-    if args.rhs:
-        vec = generate.gen_rhs(args.m, args.seed, radius)
-        out.write(format_imx(vec.as_matrix()))
-    else:
-        matrix = generate.gen_interval_matrix(
-            args.m, args.n, args.seed, radius, args.klass
-        )
-        out.write(format_imx(matrix))
+    try:
+        if args.rhs:
+            generated = generate.gen_rhs(args.m, args.seed, radius).as_matrix()
+        else:
+            generated = generate.gen_interval_matrix(
+                args.m, args.n, args.seed, radius, args.klass
+            )
+    except ValueError as exc:  # the generators' argument checks
+        raise ParseError(str(exc)) from exc
+    out.write(format_imx(generated))
     return EXIT_OK
 
 
@@ -465,7 +480,10 @@ def _run_oracle(args, out: TextIO) -> int:
     if args.oracle_op == "sample":
         matrix = _load_matrix(args.matrix)
         rhs = _load_vector(args.rhs)
-        members = oracles.sample_members(matrix, rhs, args.seed, args.count)
+        try:
+            members = oracles.sample_members(matrix, rhs, args.seed, args.count)
+        except ValueError as exc:  # --count below 1
+            raise ParseError(str(exc)) from exc
         for i, smp in enumerate(members):
             out.write(f"member{i}={_fmt_matrix(smp.matrix)}\n")
             out.write(f"rhs{i}={_fmt_vector(smp.rhs)}\n")

@@ -101,6 +101,8 @@ def gen_interval_matrix(
 
 def gen_rhs(m: int, seed: int, radius) -> IntervalVector:
     radius = rational(radius)
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     rng = _rng("rhs", m, seed, radius)
     mids = [_grid(rng, Fraction(-3), Fraction(3), MID_GRID) for _ in range(m)]
     rads = [_grid(rng, Fraction(0), radius, RAD_GRID) for _ in range(m)]

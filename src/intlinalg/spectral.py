@@ -1,11 +1,13 @@
 """Rational enclosures of spectral quantities of point matrices.
 
-Everything here is exact rational arithmetic.  Eigenvalue bounds for
-symmetric matrices come from Sturm-chain root counting of the
-characteristic polynomial, bisected to a requested tolerance; spectral
-radii of nonnegative matrices combine Collatz-Wielandt bounds from a
-positive power iterate with an exact threshold test; definiteness is
-decided exactly by the signs of integer pivots (``matrices.bareiss_pivot``).
+Everything here is exact rational arithmetic.  Definiteness is decided
+exactly by the signs of integer pivots (``matrices.bareiss_pivot``).
+Eigenvalue bounds for symmetric matrices bisect on the same pivots: by
+Sylvester's law of inertia, lambda_min(M) <= t exactly when M - tI is not
+positive definite, and lambda_max(M) <= t exactly when tI - M is positive
+semidefinite.  Spectral radii of nonnegative matrices combine
+Collatz-Wielandt bounds from a positive power iterate with an exact
+threshold test.
 Consumers map "threshold inside an enclosure" to Unknown, so a Proven
 verdict is never wrong.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .core import Interval, Verdict, rational
 from .errors import (
@@ -27,6 +29,7 @@ from .errors import (
 from .matrices import RealMatrix, Vector, bareiss_pivot, integer_rows
 
 DEFAULT_TOL = Fraction(1, 10**12)
+POWER_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -38,138 +41,15 @@ class SpectralEnclosure:
     iterate: Optional[Vector] = None
 
 
+def _positive_tol(tol) -> Fraction:
+    tol = rational(tol)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    return tol
+
+
 # ---------------------------------------------------------------------------
-# characteristic polynomial and Sturm machinery
-
-
-def char_poly(matrix: RealMatrix) -> List[Fraction]:
-    """Monic characteristic polynomial, coefficients from constant to leading."""
-    if not matrix.is_square():
-        raise NotSquare("characteristic polynomial of a non-square matrix")
-    n = matrix.n
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    work = RealMatrix.identity(n)
-    for k in range(1, n + 1):
-        work = matrix @ work
-        ck = -work.trace() / k
-        coeffs[n - k] = ck
-        if k < n:
-            work = work + RealMatrix.identity(n).scale(ck)
-    return coeffs
-
-
-def _poly_deriv(p: Sequence[Fraction]) -> List[Fraction]:
-    return [p[k] * k for k in range(1, len(p))]
-
-
-def _poly_trim(p: Sequence[Fraction]) -> List[Fraction]:
-    out = list(p)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    a = list(a)
-    b = _poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(_poly_trim(r)) >= len(b):
-        r = _poly_trim(r)
-        k = len(r) - len(b)
-        factor = r[-1] / b[-1]
-        q[k] = factor
-        for i, coeff in enumerate(b):
-            r[i + k] -= factor * coeff
-        r = r[:-1]
-    return q, _poly_trim(r)
-
-
-def _poly_normalize(p: Sequence[Fraction]) -> List[Fraction]:
-    """Divide by the positive content to keep coefficients small; signs kept."""
-    p = _poly_trim(p)
-    if not p:
-        return []
-    num_gcd = 0
-    den_lcm = 1
-    for c in p:
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    scale = Fraction(den_lcm, num_gcd if num_gcd else 1)
-    return [c * scale for c in p]
-
-
-def square_free_part(p: Sequence[Fraction]) -> List[Fraction]:
-    p = _poly_trim(p)
-    if len(p) <= 1:
-        return list(p)
-    g = _poly_gcd(p, _poly_deriv(p))
-    if len(g) <= 1:
-        return list(p)
-    q, r = _poly_divmod(p, g)
-    if r:
-        raise AssertionError("p leaves a remainder on gcd(p, p')")
-    return _poly_normalize(q)
-
-
-def _poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-    a = _poly_normalize(a)
-    b = _poly_normalize(b)
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, _poly_normalize(r)
-    return a
-
-
-def sturm_chain(p: Sequence[Fraction]) -> List[List[Fraction]]:
-    chain = [_poly_normalize(p)]
-    d = _poly_normalize(_poly_deriv(p))
-    if d:
-        chain.append(d)
-    while len(chain[-1]) > 1:
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        r = _poly_normalize([-c for c in r])
-        if not r:
-            break
-        chain.append(r)
-    return chain
-
-
-def _poly_eval(p: Sequence[Fraction], t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * t + c
-    return acc
-
-
-def _variations(signs: Sequence[int]) -> int:
-    nz = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
-
-
-def _sign(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
-
-
-def _variations_at(chain: Sequence[Sequence[Fraction]], t: Fraction) -> int:
-    return _variations([_sign(_poly_eval(p, t)) for p in chain])
-
-
-def _variations_at_minus_inf(chain: Sequence[Sequence[Fraction]]) -> int:
-    signs = []
-    for p in chain:
-        lead = _sign(p[-1])
-        deg = len(p) - 1
-        signs.append(lead if deg % 2 == 0 else -lead)
-    return _variations(signs)
-
-
-def count_roots_leq(chain: Sequence[Sequence[Fraction]], t: Fraction) -> int:
-    """Distinct real roots of the (square-free) chain head that are <= t."""
-    return _variations_at_minus_inf(chain) - _variations_at(chain, t)
+# symmetric eigenvalues
 
 
 def _gershgorin_bounds(matrix: RealMatrix) -> Tuple[Fraction, Fraction]:
@@ -191,30 +71,33 @@ def sym_eigen_range(
     """Enclosures of the extremal eigenvalues of a symmetric rational matrix."""
     if not matrix.is_symmetric():
         raise NotSymmetric("eigenvalue range requires a symmetric matrix")
-    tol = rational(tol)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    chain = sturm_chain(square_free_part(char_poly(matrix)))
+    tol = _positive_tol(tol)
     g_lo, g_hi = _gershgorin_bounds(matrix)
-    lo0 = g_lo - 1
-    hi0 = g_hi + 1
-    total = count_roots_leq(chain, hi0)
 
-    def bisect(target_all: bool) -> Interval:
-        lo, hi = lo0, hi0
+    def shifted(t: Fraction) -> RealMatrix:
+        """M - tI."""
+        return RealMatrix(
+            [
+                [v - t if i == j else v for j, v in enumerate(row)]
+                for i, row in enumerate(matrix.rows)
+            ]
+        )
+
+    def bisect(at_or_below) -> Interval:
+        """Bisect on ``at_or_below(t)``: is the eigenvalue <= t?"""
+        lo, hi = g_lo - 1, g_hi + 1
         for _ in range(100000):
             if hi - lo <= 2 * tol:
                 return Interval(lo, hi)
             mid = (lo + hi) / 2
-            count = count_roots_leq(chain, mid)
-            if (count == total) if target_all else (count >= 1):
+            if at_or_below(mid):
                 hi = mid
             else:
                 lo = mid
         raise NoConvergence("eigenvalue bisection did not reach tolerance")
 
-    lam_min = bisect(target_all=False)
-    lam_max = bisect(target_all=True)
+    lam_min = bisect(lambda t: not shifted(t).leading_minors_all_positive())
+    lam_max = bisect(lambda t: is_positive_semidefinite_real(-shifted(t)))
     return SpectralEnclosure(lam_min, tol), SpectralEnclosure(lam_max, tol)
 
 
@@ -243,19 +126,19 @@ def _collatz_wielandt(matrix: RealMatrix, x: Vector) -> Tuple[Fraction, Fraction
 
 
 def spectral_radius(
-    matrix: RealMatrix, tol: Fraction = DEFAULT_TOL, max_power_steps: int = 200
+    matrix: RealMatrix, tol: Fraction = DEFAULT_TOL
 ) -> SpectralEnclosure:
     """Enclosure of rho(M) for M nonnegative or symmetric, width <= 2*tol."""
     if not matrix.is_square():
         raise NotSquare("spectral radius of a non-square matrix")
-    tol = rational(tol)
+    tol = _positive_tol(tol)
     if matrix.is_nonnegative():
         n = matrix.n
         # power iteration on M + I keeps the iterate strictly positive
         x: Vector = tuple([Fraction(1)] * n)
         lo, hi = _collatz_wielandt(matrix, x)
         lo = max(lo, Fraction(0))
-        for _ in range(max_power_steps):
+        for _ in range(POWER_STEPS):
             if hi - lo <= 2 * tol:
                 break
             y = matrix.matvec(x)
@@ -292,39 +175,38 @@ def spectral_radius(
 # singular values
 
 
-def sqrt_down(q: Fraction, grid: Fraction) -> Fraction:
-    """Largest grid rational r with r <= sqrt(q); q >= 0."""
+def _grid_sqrt(q: Fraction, grid: Fraction) -> Tuple[int, int, bool]:
+    """(root, den, exact): root = floor(sqrt(q) * den) on a grid of step
+    1/den finer than ``grid``, and whether root / den is sqrt(q) itself."""
     q = rational(q)
     if q < 0:
         raise ValueError("sqrt of a negative rational")
     if q == 0:
-        return Fraction(0)
+        return 0, 1, True
     scale = max(1, math.isqrt(int(1 / (grid * grid))) + 1)
     p, d = q.numerator, q.denominator
-    root = math.isqrt(p * d * scale * scale)
-    return Fraction(root, d * scale)
+    radicand = p * d * scale * scale
+    root = math.isqrt(radicand)
+    return root, d * scale, root * root == radicand
+
+
+def sqrt_down(q: Fraction, grid: Fraction) -> Fraction:
+    """Largest grid rational r with r <= sqrt(q); q >= 0."""
+    root, den, _ = _grid_sqrt(q, grid)
+    return Fraction(root, den)
 
 
 def sqrt_up(q: Fraction, grid: Fraction) -> Fraction:
     """Smallest grid rational r with r >= sqrt(q); q >= 0."""
-    q = rational(q)
-    if q < 0:
-        raise ValueError("sqrt of a negative rational")
-    if q == 0:
-        return Fraction(0)
-    scale = max(1, math.isqrt(int(1 / (grid * grid))) + 1)
-    p, d = q.numerator, q.denominator
-    root = math.isqrt(p * d * scale * scale)
-    if Fraction(root * root, d * d * scale * scale) == q:
-        return Fraction(root, d * scale)
-    return Fraction(root + 1, d * scale)
+    root, den, exact = _grid_sqrt(q, grid)
+    return Fraction(root if exact else root + 1, den)
 
 
 def extremal_singular_values(
     matrix: RealMatrix, tol: Fraction = DEFAULT_TOL
 ) -> Tuple[SpectralEnclosure, SpectralEnclosure]:
     """Enclosures of the smallest and largest singular values of M."""
-    tol = rational(tol)
+    tol = _positive_tol(tol)
     gram = matrix.transpose() @ matrix
     inner_tol = tol * tol / 4
     enc_min, enc_max = sym_eigen_range(gram, inner_tol)

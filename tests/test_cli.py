@@ -278,6 +278,31 @@ class TestExitCodes:
         assert invoke("frobnicate")[0] == 1
         assert invoke("solve")[0] == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "regular", "identity.imx", "--cond", "4"),
+            ("check", "singular", "identity.imx", "--cond", "9"),
+            ("check", "fullrank", "identity.imx", "--cond", "0"),
+            ("check", "strong-pd", "identity.imx", "--cond", "3"),
+            ("gen", "--m", "2", "--n", "2", "--seed", "1", "--radius", "-1"),
+            ("gen", "--m", "2", "--n", "2", "--seed", "1", "--radius", "-1", "--rhs"),
+            ("gen", "--m", "3", "--n", "2", "--seed", "1", "--radius", "1",
+             "--class", "mmatrix"),
+            ("oracle", "sample", "identity.imx", "rhs.imx", "--seed", "1",
+             "--count", "0"),
+        ],
+        ids=[
+            "regular-cond-4", "singular-cond-9", "fullrank-cond-0",
+            "strong-pd-cond-3", "gen-negative-radius", "gen-rhs-negative-radius",
+            "gen-mmatrix-not-square", "oracle-sample-count-0",
+        ],
+    )
+    def test_bad_argument_value_is_1(self, files, argv):
+        code, fields, _ = invoke(*(files.get(arg, arg) for arg in argv))
+        assert code == 1
+        assert fields["error"].startswith("parse: ")
+
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"),
         reason="this Python has no int-to-str digit limit",

@@ -92,6 +92,8 @@ def test_class_validation():
         gen_interval_matrix(3, 2, 0, F(1, 2), "mmatrix")
     with pytest.raises(ValueError):
         gen_interval_matrix(2, 2, 0, F(-1, 2))
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        gen_rhs(2, 0, F(-1, 2))
 
 
 @pytest.mark.parametrize(

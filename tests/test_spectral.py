@@ -19,7 +19,7 @@ from intlinalg import (
     spectral_radius,
 )
 from intlinalg.errors import NotSymmetric, UnsupportedMatrixClass
-from intlinalg.spectral import char_poly, sqrt_down, sqrt_up, sym_eigen_range
+from intlinalg.spectral import sqrt_down, sqrt_up, sym_eigen_range
 
 TOL = Fraction(1, 10**8)
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -62,8 +62,8 @@ class TestSymEigenRange:
             # (a-d)^2 + 4 b^2 with b chosen from pythagorean-friendly values
             b = F(0) if (a - d) != 0 else F(rng.randint(0, 3))
             m = RealMatrix([[a, b], [b, d]])
-            coeffs = char_poly(m)
-            r_lo, r_hi = quadratic_roots(coeffs[2], coeffs[1], coeffs[0])
+            # characteristic polynomial x^2 - (a + d) x + (a d - b^2)
+            r_lo, r_hi = quadratic_roots(F(1), -(a + d), a * d - b * b)
             lo, hi = sym_eigen_range(m, TOL)
             assert lo.value.contains(r_lo)
             assert hi.value.contains(r_hi)
@@ -322,32 +322,33 @@ def test_enclosure_soundness_on_exact_corpus():
     assert hi.value.contains(3)
 
 
-def test_square_free_check_raises_under_optimize():
-    """The exact-division check in square_free_part is an explicit raise, so
-    ``python -O`` keeps it: a remainder on the final division must raise."""
+@pytest.mark.parametrize(
+    "call",
+    [
+        "spectral_radius(RealMatrix([[1, 1], [1, 0]]), Fraction(0))",
+        "spectral_radius(RealMatrix([[1, 1], [1, 0]]), Fraction(-1))",
+        "extremal_singular_values(RealMatrix([[1, 1], [1, 0]]), Fraction(0))",
+        "extremal_singular_values(RealMatrix([[1, 1], [1, 0]]), Fraction(-1))",
+    ],
+)
+def test_nonpositive_tol_raises_promptly(call):
+    """A tolerance <= 0 is refused up front; bisecting to a width <= 0 would
+    run to the step cap."""
     code = (
         "from fractions import Fraction\n"
-        "from intlinalg import spectral\n"
-        "assert False, 'asserts must be off'\n"
-        "real = spectral._poly_divmod\n"
-        "calls = []\n"
-        "def with_remainder(a, b):\n"
-        "    calls.append(1)\n"
-        "    q, r = real(a, b)\n"
-        "    return (q, [Fraction(1)]) if len(calls) > 1 else (q, r)\n"
-        "spectral._poly_divmod = with_remainder\n"
+        "from intlinalg import RealMatrix, extremal_singular_values, spectral_radius\n"
         "try:\n"
-        "    spectral.square_free_part([Fraction(1), Fraction(-2), Fraction(1)])\n"
-        "except AssertionError:\n"
-        "    print('raised')\n"
+        f"    {call}\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
     done = subprocess.run(
-        [sys.executable, "-O", "-c", code],
+        [sys.executable, "-c", code],
         env=env,
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=30,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "raised\n"
+    assert done.stdout == "tolerance must be positive\n"
