@@ -42,6 +42,7 @@ from intlinalg.errors import (
     PivotContainsZero,
     PreconditionError,
     PreconditionNotVerifiable,
+    SingularMatrix,
     UnboundedSolutionSet,
 )
 from intlinalg.generate import (
@@ -232,6 +233,123 @@ class TestMMatrixGaussSeidel:
         a = IntervalMatrix.degenerate(RealMatrix([[1, 2], [2, 1]]))
         with pytest.raises(PreconditionNotVerifiable):
             monotone_hull(a, IntervalVector.degenerate([1, 1]))
+
+
+def _negated(rhs):
+    return IntervalVector([Interval(-e.hi, -e.lo) for e in rhs.entries])
+
+
+def _centred(rhs):
+    """The right-hand side moved to midpoint 0 and widened by 1/2, so every
+    entry has both signs."""
+    return IntervalVector(
+        [Interval(e.lo - e.hi - F(1, 2), e.hi - e.lo + F(1, 2)) for e in rhs.entries]
+    )
+
+
+def _rhs_kinds(rhs):
+    return {"generated": rhs, "negated": _negated(rhs), "centred": _centred(rhs)}
+
+
+def _inverse_nonneg_matrices(n, count):
+    """Non-M interval matrices with nonnegative endpoint inverses: each entry
+    of B^-1, for an integer B > 0, widened by up to 1/16 of its size; draws
+    that fail the precondition or are M-matrices are skipped."""
+    rng = random.Random(f"inverse-nonneg-{n}")
+    out = []
+    while len(out) < count:
+        b = RealMatrix([[rng.randint(1, 4) for _ in range(n)] for _ in range(n)])
+        if b.det() == 0:
+            continue
+        matrix = IntervalMatrix(
+            [
+                [
+                    Interval(v - abs(v) * F(k, 64), v + abs(v) * F(k, 64))
+                    for v, k in zip(row, (rng.randint(0, 4) for _ in row))
+                ]
+                for row in b.inverse().rows
+            ]
+        )
+        try:
+            nonneg = all(
+                end.inverse().is_nonnegative()
+                for end in (matrix.lower(), matrix.upper())
+            )
+        except SingularMatrix:
+            nonneg = False
+        if nonneg and not is_interval_m_matrix(matrix):
+            out.append(matrix)
+    return out
+
+
+def _monotone_cases(n, count):
+    """(label, matrix, rhs): M-matrix systems and non-M inverse-nonnegative
+    matrices, each with its generated, negated and centred right-hand side."""
+    systems = [(f"mmatrix-{s}", *mmatrix_system(n, s)) for s in range(count)]
+    systems += [
+        (f"inverse-nonneg-{i}", a, gen_rhs(n, i, F(1, 2)))
+        for i, a in enumerate(_inverse_nonneg_matrices(n, count))
+    ]
+    return [
+        (f"{label}/{kind}", a, rhs)
+        for label, a, b in systems
+        for kind, rhs in _rhs_kinds(b).items()
+    ]
+
+
+def _monotone_digest(n, seed):
+    """SHA-256 of the monotone hulls of mmatrix_system(n, seed) with its
+    generated, negated and centred right-hand sides, as interval text."""
+    a, b = mmatrix_system(n, seed)
+    text = "\n".join(
+        "; ".join(format_interval(e) for e in monotone_hull(a, rhs).entries)
+        for rhs in _rhs_kinds(b).values()
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# mmatrix_system(n, seed) for n = 6..8 and seed = 0..5, hulls by a sweep
+# over all 2^n sign vectors
+MONOTONE_DIGESTS = {
+    (6, 0): "fb1c7928fa8d99598f95576d8ce0a5b93fab886aecd50fcdc2c96a98b7a74b67",
+    (6, 1): "1509d2cc7a1895d7077dac6e8ccf4e676d69092b11948c30259861a0f86042be",
+    (6, 2): "d4a5960a7f436e912a9cba724215cc8c063d78e7aacb7cd8dfd84637655189d6",
+    (6, 3): "a1bd5f53facf2d943d78ce56ed23cb696888b10619ca7906994dbe50c20afe0d",
+    (6, 4): "770424b6332c75f29ca1411d3a625187ff9f7d5223c2486a92d84d883dc8549d",
+    (6, 5): "505c8148e6d7defd2dfee9b7aa27e629c572761faad5dd32f3efb16f544158e0",
+    (7, 0): "2fe49dd8c20ba7e8612b7b2f7d254081155231844a334e59afa1d44fa01deb46",
+    (7, 1): "6b1833b83735a7f4da660b71c987de3d3fa67b30e77af25c148c871bfa46e6a1",
+    (7, 2): "834548e29db9a23f660ad8a6feb17822bf1c5426586e4785b4201d3faed49978",
+    (7, 3): "c8680a190ff19e1b2db2eac5c22a956920d35350929734d6d90999337498aa26",
+    (7, 4): "81206071ea9c2a788825ce5b7d466cf0a6f7eb3c9f213a6385fdeca2e6b9f5a8",
+    (7, 5): "13964c713c946d8b3e710ad0255563abf3c51bfe4ea18c9169778c1d3a9eb4ce",
+    (8, 0): "a5ce746906dd354ad858d5105f1b6d4bbb77682c66c47a317ae20e1a507bebfd",
+    (8, 1): "e4c326836e4e4be35b72905038eacd331b4c638e32b0325bf0d2297f2787a885",
+    (8, 2): "1b20a7705c2388aae28956dabb6cabc8abd6bd3ff00497360efd1af0761411cb",
+    (8, 3): "360859e537e4479c5eda2b68fe6907e4ecc4445afaa160e879bdb8cf3256831f",
+    (8, 4): "d4f3cfc275aa2f7aa4a69091a15a96f75ab9d9194f4f09f6dab9f18485aeb2be",
+    (8, 5): "34d909daa965aa988bdea909e850802edc6a73d2df507719dda57dbe3aa9d450",
+}
+
+
+class TestMonotoneHull:
+    """``monotone_hull`` against the vertex oracle (n <= 3) and the exact
+    LP hull (n = 4), and pinned where neither reaches (n = 6..8)."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_equals_vertex_hull(self, n):
+        for label, a, rhs in _monotone_cases(n, 6 if n < 3 else 3):
+            assert monotone_hull(a, rhs) == vertex_system_hull(a, rhs), label
+
+    def test_equals_exact_hull_at_four(self):
+        for label, a, rhs in _monotone_cases(4, 3):
+            assert monotone_hull(a, rhs) == hull_exact(a, rhs).box, label
+
+    @pytest.mark.parametrize(
+        "n, seed", sorted(MONOTONE_DIGESTS), ids=lambda v: str(v)
+    )
+    def test_pinned_digests(self, n, seed):
+        assert _monotone_digest(n, seed) == MONOTONE_DIGESTS[n, seed]
 
 
 class TestBidiagonal:
