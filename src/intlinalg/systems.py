@@ -252,11 +252,15 @@ def is_interval_m_matrix(matrix: IntervalMatrix) -> bool:
 def monotone_hull(matrix: IntervalMatrix, rhs: IntervalVector) -> IntervalVector:
     """Exact hull for inverse-nonnegative matrices (M-matrices included).
 
-    Inverse positivity makes each solution coordinate monotone in every
-    coefficient with a sign governed by the solution's own sign pattern, so
-    each hull face is attained at a column-endpoint member selected by a
-    sign vector; sweeping all sign vectors and keeping sign-consistent
-    solves yields the exact hull.
+    By Kuttler's theorem, nonnegative inverses of the two endpoint matrices
+    make every member regular with A^-1 >= 0.  So x = A^-1 b grows with b
+    and, in column j of A, falls where x_j >= 0 and rises where x_j < 0:
+    the upper bound solves A_c x - Delta |x| = b_hi, which has a unique
+    solution as every member is regular (Rohn); the lower bound is minus
+    that for -b_lo.  Rohn's sign accord finds it: solve the member
+    A_c - Delta diag(z), flip the lowest z_j with z_j x_j < 0, repeat.
+    Least-index flips never revisit a sign vector on this P-matrix problem,
+    so the budget of 2^n flips per bound is never reached.
     """
     _check_system(matrix, rhs)
     n = matrix.n
@@ -274,35 +278,26 @@ def monotone_hull(matrix: IntervalMatrix, rhs: IntervalVector) -> IntervalVector
         raise PreconditionNotVerifiable(
             "monotone hull needs nonnegative endpoint inverses"
         )
-    b_lo = rhs.lower()
-    b_hi = rhs.upper()
 
-    def column_pick(z: SignVector, for_upper: bool) -> RealMatrix:
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                take_low = (z[j] == 1) if for_upper else (z[j] == -1)
-                row.append(lo_m.rows[i][j] if take_low else hi_m.rows[i][j])
-            rows.append(row)
-        return RealMatrix(rows)
+    def upper_bound(b: Vector) -> Vector:
+        z = [1 if v >= 0 else -1 for v in b]
+        for _ in range(2**n + 1):
+            x = RealMatrix(
+                [
+                    [lo if zj == 1 else hi for lo, hi, zj in zip(lo_row, hi_row, z)]
+                    for lo_row, hi_row in zip(lo_m.rows, hi_m.rows)
+                ]
+            ).solve(b)
+            wrong = [j for j in range(n) if z[j] * x[j] < 0]
+            if not wrong:
+                return x
+            z[wrong[0]] = -z[wrong[0]]
+        raise AssertionError("sign accord exceeded its budget of 2^n flips")
 
-    best_hi: List[Optional[Fraction]] = [None] * n
-    best_lo: List[Optional[Fraction]] = [None] * n
-    for z in SignVector.all(n):
-        xu = column_pick(z, for_upper=True).solve(b_hi)
-        if all(z[j] * xu[j] >= 0 for j in range(n)):
-            for j in range(n):
-                if best_hi[j] is None or xu[j] > best_hi[j]:
-                    best_hi[j] = xu[j]
-        xl = column_pick(z, for_upper=False).solve(b_lo)
-        if all(z[j] * xl[j] >= 0 for j in range(n)):
-            for j in range(n):
-                if best_lo[j] is None or xl[j] < best_lo[j]:
-                    best_lo[j] = xl[j]
-    if any(v is None for v in best_hi) or any(v is None for v in best_lo):
-        raise AssertionError("no sign-consistent solve found")
-    return IntervalVector.from_bounds(tuple(best_lo), tuple(best_hi))
+    x_lo = upper_bound(tuple(-v for v in rhs.lower()))
+    return IntervalVector.from_bounds(
+        tuple(-v for v in x_lo), upper_bound(rhs.upper())
+    )
 
 
 # ---------------------------------------------------------------------------

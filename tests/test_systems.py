@@ -2,6 +2,7 @@
 tolerance/control solutions."""
 
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -350,6 +351,36 @@ class TestMonotoneHull:
     )
     def test_pinned_digests(self, n, seed):
         assert _monotone_digest(n, seed) == MONOTONE_DIGESTS[n, seed]
+
+    def test_at_most_2n_plus_2_solves(self, monkeypatch):
+        """Sign accord solves a handful of members per bound, where a sweep
+        over all sign vectors solves 2^(n+1)."""
+        calls = []
+        real = RealMatrix.solve
+
+        def counted(member, b):
+            calls.append(member)
+            return real(member, b)
+
+        monkeypatch.setattr(RealMatrix, "solve", counted)
+        for n in range(6, 9):
+            for seed in range(6):
+                a, b = mmatrix_system(n, seed)
+                for kind, rhs in _rhs_kinds(b).items():
+                    calls.clear()
+                    monotone_hull(a, rhs)
+                    assert len(calls) <= 2 * n + 2, (n, seed, kind)
+
+    def test_flip_budget_raises(self, monkeypatch):
+        """A solve whose first coordinate changes sign on every call never
+        agrees with the sign vector, so the 2^n flips run out."""
+        real = RealMatrix.solve
+        signs = itertools.cycle((1, -1))
+        monkeypatch.setattr(
+            RealMatrix, "solve", lambda m, b: (next(signs),) + real(m, b)[1:]
+        )
+        with pytest.raises(AssertionError, match="budget"):
+            monotone_hull(*mmatrix_system(3, 0))
 
 
 class TestBidiagonal:
@@ -739,6 +770,25 @@ def test_mmatrix_fixpoint_check_raises_under_optimize():
         "systems._sweep = lambda *args: None\n"
         "try:\n"
         "    systems.enclosure(*mmatrix_system(2, 0), 'gauss-seidel')\n"
+        "except AssertionError:\n"
+        "    print('raised')\n"
+    )
+    assert run_under_optimize(code) == "raised\n"
+
+
+def test_sign_accord_budget_raises_under_optimize():
+    """The flip budget of ``monotone_hull`` is an explicit raise, which
+    ``python -O`` keeps."""
+    code = (
+        "from intlinalg import RealMatrix\n"
+        "from intlinalg.generate import mmatrix_system\n"
+        "from intlinalg.systems import monotone_hull\n"
+        "import itertools\n"
+        "real = RealMatrix.solve\n"
+        "signs = itertools.cycle((1, -1))\n"
+        "RealMatrix.solve = lambda m, b: (next(signs),) + real(m, b)[1:]\n"
+        "try:\n"
+        "    monotone_hull(*mmatrix_system(3, 0))\n"
         "except AssertionError:\n"
         "    print('raised')\n"
     )
