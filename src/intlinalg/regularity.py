@@ -23,6 +23,7 @@ from .lp import (
 from .matrices import IntervalMatrix, RealMatrix, SignVector
 from .spectral import (
     DEFAULT_TOL,
+    _positive_tol,
     extremal_singular_values,
     is_positive_definite_real,
     is_positive_semidefinite_real,
@@ -74,6 +75,7 @@ def regularity_sufficient(
     matrix: IntervalMatrix, cond: int, tol: Fraction = DEFAULT_TOL
 ) -> Verdict:
     """One of three polynomial sufficient conditions; Proven or Unknown."""
+    tol = _positive_tol(tol)
     if not matrix.is_square():
         raise NotSquare("regularity is defined for square interval matrices")
     center, radius = matrix.midpoint_radius()

@@ -178,6 +178,7 @@ def spectral_radius(
 def _grid_sqrt(q: Fraction, grid: Fraction) -> Tuple[int, int, bool]:
     """(root, den, exact): root = floor(sqrt(q) * den) on a grid of step
     1/den finer than ``grid``, and whether root / den is sqrt(q) itself."""
+    grid = _positive_tol(grid)
     q = rational(q)
     if q < 0:
         raise ValueError("sqrt of a negative rational")

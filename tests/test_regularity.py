@@ -17,7 +17,7 @@ from intlinalg import (
     vertex_det_singularity,
 )
 from intlinalg.errors import NotSquare, PreconditionViolated, ShapeError
-from intlinalg.generate import regularity_corpus
+from intlinalg.generate import gen_regular_matrix, regularity_corpus
 
 TOL = Fraction(1, 10**6)
 
@@ -125,6 +125,15 @@ class TestSufficientConditions:
         )
         assert regularity_sufficient(a, 2, TOL).is_proven
         assert regularity_sufficient(a, 3, TOL).is_proven
+
+    @pytest.mark.parametrize("tol", [F(0), F(-1)], ids=["tol-0", "tol-minus-1"])
+    @pytest.mark.parametrize("cond", [1, 2, 3])
+    def test_nonpositive_tol_raises(self, cond, tol):
+        """Every condition refuses a tolerance <= 0 up front; condition 3
+        used to end in ZeroDivisionError at tol 0 and to prove regularity
+        at tol -1."""
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            regularity_sufficient(gen_regular_matrix(2, 0), cond, tol)
 
 
 class TestSoundnessOnCorpus:

@@ -255,6 +255,13 @@ class TestSqrtBounds:
         assert sqrt_down(F(9, 4), F(1, 100)) == F(3, 2)
         assert sqrt_up(F(9, 4), F(1, 100)) == F(3, 2)
 
+    @pytest.mark.parametrize("grid", [F(0), F(-1)], ids=["grid-0", "grid-minus-1"])
+    @pytest.mark.parametrize("root", [sqrt_down, sqrt_up], ids=lambda f: f.__name__)
+    def test_nonpositive_grid_raises(self, root, grid):
+        # at grid -1, sqrt_up(2) used to return 3/2; at grid 0 it divided by 0
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            root(F(2), grid)
+
 
 class TestDefiniteness:
     def test_identity_proven(self):
