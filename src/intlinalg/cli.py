@@ -34,12 +34,18 @@ EXIT_USAGE = 1
 EXIT_UNKNOWN = 2
 EXIT_PRECONDITION = 3
 
-# the sufficient conditions that ``check PROPERTY --cond K`` can name
+# every ``check`` property and the sufficient conditions its ``--cond K``
+# can name
 _CONDITIONS = {
     "regular": (1, 2, 3),
     "singular": (1, 2, 3),
     "fullrank": (1, 2),
+    "inverse-nonneg": (),
     "strong-pd": (1, 2),
+    "weak-pd": (),
+    "hurwitz": (),
+    "hurwitz-sym": (),
+    "schur-sym": (),
 }
 
 
@@ -134,17 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="decide a matrix property")
     p_check.add_argument(
         "property",
-        choices=[
-            "regular",
-            "singular",
-            "fullrank",
-            "inverse-nonneg",
-            "strong-pd",
-            "weak-pd",
-            "hurwitz",
-            "hurwitz-sym",
-            "schur-sym",
-        ],
+        choices=list(_CONDITIONS),
     )
     p_check.add_argument("matrix")
     p_check.add_argument("--cond", type=int, default=None)
@@ -245,8 +241,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_check(args, out: TextIO) -> int:
     prop = args.property
-    conds = _CONDITIONS.get(prop)
-    if args.cond is not None and conds is not None and args.cond not in conds:
+    conds = _CONDITIONS[prop]
+    if args.cond is not None and args.cond not in conds:
+        if not conds:
+            raise ParseError(f"{prop} takes no --cond")
         raise ParseError(
             f"--cond for {prop} must be one of {', '.join(map(str, conds))}"
         )

@@ -285,6 +285,11 @@ class TestExitCodes:
             ("check", "singular", "identity.imx", "--cond", "9"),
             ("check", "fullrank", "identity.imx", "--cond", "0"),
             ("check", "strong-pd", "identity.imx", "--cond", "3"),
+            ("check", "inverse-nonneg", "identity.imx", "--cond", "1"),
+            ("check", "weak-pd", "identity.imx", "--cond", "7"),
+            ("check", "hurwitz", "identity.imx", "--cond", "1"),
+            ("check", "hurwitz-sym", "identity.imx", "--cond", "2"),
+            ("check", "schur-sym", "identity.imx", "--cond", "7"),
             ("gen", "--m", "2", "--n", "2", "--seed", "1", "--radius", "-1"),
             ("gen", "--m", "2", "--n", "2", "--seed", "1", "--radius", "-1", "--rhs"),
             ("gen", "--m", "3", "--n", "2", "--seed", "1", "--radius", "1",
@@ -294,7 +299,9 @@ class TestExitCodes:
         ],
         ids=[
             "regular-cond-4", "singular-cond-9", "fullrank-cond-0",
-            "strong-pd-cond-3", "gen-negative-radius", "gen-rhs-negative-radius",
+            "strong-pd-cond-3", "inverse-nonneg-cond-1", "weak-pd-cond-7",
+            "hurwitz-cond-1", "hurwitz-sym-cond-2", "schur-sym-cond-7",
+            "gen-negative-radius", "gen-rhs-negative-radius",
             "gen-mmatrix-not-square", "oracle-sample-count-0",
         ],
     )
