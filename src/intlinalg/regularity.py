@@ -209,6 +209,7 @@ def fcr_sufficient(
     matrix: IntervalMatrix, cond: int, tol: Fraction = DEFAULT_TOL
 ) -> Verdict:
     """Sufficient conditions for full column rank; Proven or Unknown."""
+    tol = _positive_tol(tol)
     center, radius = matrix.midpoint_radius()
     if cond == 1:
         if center.rank() < center.n:

@@ -127,13 +127,23 @@ class TestSufficientConditions:
         assert regularity_sufficient(a, 3, TOL).is_proven
 
     @pytest.mark.parametrize("tol", [F(0), F(-1)], ids=["tol-0", "tol-minus-1"])
-    @pytest.mark.parametrize("cond", [1, 2, 3])
-    def test_nonpositive_tol_raises(self, cond, tol):
-        """Every condition refuses a tolerance <= 0 up front; condition 3
-        used to end in ZeroDivisionError at tol 0 and to prove regularity
-        at tol -1."""
+    @pytest.mark.parametrize(
+        "decide, cond",
+        [
+            (regularity_sufficient, 1),
+            (regularity_sufficient, 2),
+            (regularity_sufficient, 3),
+            (fcr_sufficient, 1),
+            (fcr_sufficient, 2),
+        ],
+        ids=["regular-1", "regular-2", "regular-3", "fcr-1", "fcr-2"],
+    )
+    def test_nonpositive_tol_raises(self, decide, cond, tol):
+        """Every condition refuses a tolerance <= 0 up front; regularity
+        condition 3 used to end in ZeroDivisionError at tol 0 and to prove
+        regularity at tol -1."""
         with pytest.raises(ValueError, match="tolerance must be positive"):
-            regularity_sufficient(gen_regular_matrix(2, 0), cond, tol)
+            decide(gen_regular_matrix(2, 0), cond, tol)
 
 
 class TestSoundnessOnCorpus:
