@@ -280,6 +280,7 @@ def monotone_hull(matrix: IntervalMatrix, rhs: IntervalVector) -> IntervalVector
         )
 
     def upper_bound(b: Vector) -> Vector:
+        # start from the signs of b: A^-1 >= 0 maps b >= 0 to x >= 0
         z = [1 if v >= 0 else -1 for v in b]
         for _ in range(2**n + 1):
             x = RealMatrix(

@@ -286,14 +286,14 @@ def _inverse_nonneg_matrices(n, count):
 def _monotone_cases(n, count):
     """(label, matrix, rhs): M-matrix systems and non-M inverse-nonnegative
     matrices, each with its generated, negated and centred right-hand side."""
-    systems = [(f"mmatrix-{s}", *mmatrix_system(n, s)) for s in range(count)]
-    systems += [
+    inputs = [(f"mmatrix-{s}", *mmatrix_system(n, s)) for s in range(count)]
+    inputs += [
         (f"inverse-nonneg-{i}", a, gen_rhs(n, i, F(1, 2)))
         for i, a in enumerate(_inverse_nonneg_matrices(n, count))
     ]
     return [
         (f"{label}/{kind}", a, rhs)
-        for label, a, b in systems
+        for label, a, b in inputs
         for kind, rhs in _rhs_kinds(b).items()
     ]
 
