@@ -6,11 +6,12 @@ positive denominator, and each pivot divides exactly (integer-preserving
 pivoting: Edmonds 1967, Bareiss 1968), so no Fraction enters a pivot; the
 pivot is ``matrices.bareiss_pivot``, which the point linear algebra shares.
 The standard form is written in integer rows directly, scaled once by a common
-multiple of the denominators.  Phase 1 reads only the constraints and
-bounds, so the last program's phase-1 end state is kept, without the
-artificial columns that phase 2 never enters: further objectives over an
-equal program, such as the 2n of ``hull_exact`` over each feasible orthant,
-start at phase 2.
+multiple of the denominators.  Phase 1 starts on the slack basis, with
+artificial columns only on rows that need one, such as e^T D_s x >= 1.  It
+reads only the constraints and bounds, so the last program's phase-1 end
+state is kept, without the artificial columns that phase 2 never enters:
+further objectives over an equal program, such as the 2n of ``hull_exact``
+over each feasible orthant, start at phase 2.
 
 Every orthant-decomposition decider in the package funnels through this
 module: ``feasible_orthants`` is the one sweep, which solves one feasibility
@@ -257,33 +258,38 @@ def _phase1(
 
     Returns (tableau, basis, d, n_cols) at a feasible basis with no
     artificial in it, or None if infeasible; each tableau row holds the n_cols
-    variables and slacks and then the right-hand side.  Slack and artificial
-    columns enter at +-1; with rows scaled by one common multiple of their
-    denominators, that scales each column uniformly, so Bland's rule takes
-    the pivots of the rational tableau.  Phase 2 never enters an artificial,
-    so the artificial columns are dropped from the end state.
+    variables and slacks and then the right-hand side.  Each row is negated
+    to b >= 0 and starts on its slack if that enters at +1, else on an
+    artificial column.  Slack and artificial columns enter at +-1; with rows
+    scaled by one common multiple of their denominators, that scales each
+    column uniformly, so Bland's rule takes the pivots of the rational
+    tableau.  Phase 2 never enters an artificial, so the artificial columns
+    are dropped from the end state.
     """
-    m = len(rows)
     n_slack = sum(1 for rel in rels if rel != EQ)
     n_cols = n + n_slack
+    on_slack = [rel != EQ and (rel == LEQ) == (row[-1] >= 0)
+                for row, rel in zip(rows, rels)]
+    n_art = len(rows) - sum(on_slack)
     tableau: List[List[int]] = []
-    slack_at = 0
-    for i, row in enumerate(rows):
-        row[n:n] = [0] * (n_slack + m)
-        if rels[i] != EQ:
-            row[n + slack_at] = 1 if rels[i] == LEQ else -1
+    basis: List[int] = []
+    # minimize the sum of the artificials: the reduced costs are minus the
+    # column sums over their rows, taken before the artificials are set
+    obj = [0] * (n_cols + n_art + 1)
+    slack_at, art_at = n, n_cols
+    for row, rel, own in zip(rows, rels, on_slack):
+        row[n:n] = [0] * (n_slack + n_art)
+        if rel != EQ:
+            row[slack_at] = 1 if rel == LEQ else -1
             slack_at += 1
         if row[-1] < 0:
             row = [-v for v in row]
-        row[n_cols + i] = 1
+        basis.append(slack_at - 1 if own else art_at)
+        if not own:
+            obj = [o - v for o, v in zip(obj, row)]
+            row[art_at] = 1
+            art_at += 1
         tableau.append(row)
-    basis = [n_cols + i for i in range(m)]
-    width = n_cols + m + 1
-
-    # minimize the artificial sum: reduced costs are minus the column sums
-    # (the zero row keeps the width when there are no rows)
-    obj = [-sum(col) for col in zip(*tableau, [0] * width)]
-    obj[n_cols:-1] = [0] * m
     status, d = _simplex_min(tableau, obj, basis, 1)
     if status != OPTIMAL:
         raise AssertionError("phase 1 is bounded below by 0 but read unbounded")
@@ -292,7 +298,7 @@ def _phase1(
 
     # drive remaining artificials out of the basis; drop the rows they cannot leave
     keep = []
-    for r in range(m):
+    for r in range(len(tableau)):
         if basis[r] >= n_cols:
             col = next((j for j in range(n_cols) if tableau[r][j] != 0), None)
             if col is None:

@@ -429,15 +429,9 @@ class IntervalMatrix:
             raise DimensionMismatch(
                 f"sign vectors ({y.dim},{z.dim}) vs shape {self.shape}"
             )
-        center, radius = self.midpoint_radius()
         return RealMatrix(
-            [
-                [
-                    center.rows[i][j] - y[i] * z[j] * radius.rows[i][j]
-                    for j in range(self.n)
-                ]
-                for i in range(self.m)
-            ]
+            [[e.lo if yi == zj else e.hi for e, zj in zip(row, z)]
+             for row, yi in zip(self.entries, y)]
         )
 
     def contains(self, member: RealMatrix) -> bool:

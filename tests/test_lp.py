@@ -7,14 +7,18 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given, settings
 
+from conftest import rationals
 from intlinalg import (
     Constraint,
     Interval,
     IntervalMatrix,
     IntervalVector,
     LinearProgram,
+    is_regular_exact,
     lp_feasible,
     lp_optimize,
 )
@@ -227,56 +231,58 @@ def _fuzz_programs(count=200, seed=2024):
 
 
 # (status, value, x) of lp_optimize and the witness of lp_feasible for each
-# program of _fuzz_programs(), recorded from the Fraction-tableau simplex
+# program of _fuzz_programs().  Statuses and values were recorded from the
+# Fraction-tableau simplex; x and the witness, which depend on the pivot path,
+# from the simplex that starts phase 1 on the slack basis.
 FUZZ_EXPECTED = [
-    ('unbounded', None, None, '3/2 -1 0'),
-    ('optimal', '55/24', '-15/2 13/6 2', '-15/2 13/6 2'),
-    ('optimal', '-1561/48', '-4 -2 3/2 35/24', '-4 -2 3/2 35/24'),
-    ('optimal', '-71/75', '7/75 4 22/25 -48/25', '-7/6 9/2 0 -3/2'),
+    ('unbounded', None, None, '0 0 -1'),
+    ('optimal', '55/24', '-15/2 13/6 2', '1/2 2/3 1'),
+    ('optimal', '-1561/48', '-4 -2 3/2 35/24', '-4 -7/2 3/2 -1/24'),
+    ('optimal', '-71/75', '7/75 4 22/25 -48/25', '-11/3 4 0 -2'),
     ('infeasible', None, None, None),
-    ('optimal', '65/12', '-1 4 -13/6 -1', '-1 3/4 -13/24 -1'),
+    ('optimal', '65/12', '-1 4 -13/6 -1', '-9/4 4 -13/6 -7/2'),
     ('infeasible', None, None, None),
     ('optimal', '-219/10', '-9/5 67/10 -151/40', '-9/5 67/10 -151/40'),
     ('unbounded', None, None, '-393/170 -283/170 1177/170 149/170'),
-    ('optimal', '1/2', '-1 3/2 0', '-1 3/2 2'),
+    ('optimal', '1/2', '-1 3/2 0', '-5 0 0'),
     ('optimal', '-5/8', '4/3 3/2', '4/3 3/2'),
     ('optimal', '-27/2', '6 -3', '6 -3'),
-    ('optimal', '-109/12', '5/2 -2 -2 47/8', '1 -1/2 -2 25/4'),
-    ('unbounded', None, None, '2 -4 0'),
-    ('unbounded', None, None, '121/25 37/25 64/25 0'),
+    ('optimal', '-109/12', '5/2 -2 -2 47/8', '5/2 -2 -2 47/8'),
+    ('unbounded', None, None, '-6 0 0'),
+    ('unbounded', None, None, '-31 -19 0 0'),
     ('infeasible', None, None, None),
     ('optimal', '-1/24', '3/2 -1/3', '3/2 -1/3'),
-    ('unbounded', None, None, '-5 16/21 -15/14'),
-    ('unbounded', None, None, '23/4 -7/16 -1/2 -1/2'),
+    ('unbounded', None, None, '-5 4 -7/2'),
+    ('unbounded', None, None, '67/11 -2/11 -1/2 -1/2'),
     ('optimal', '-28/3', '-110/9 112/9', '-110/9 112/9'),
-    ('optimal', '653/252', '-124/21 -61/21 -5 31/21', '-286/63 -55/63 -3 61/63'),
-    ('optimal', '-7', '-1 4', '-1/2 5'),
-    ('unbounded', None, None, '14/57 26/19 -5 85/19'),
-    ('optimal', '-5/2', '2 -2 -2', '2 -2 -2'),
-    ('unbounded', None, None, '11/6 -8/3 3 -73/6'),
+    ('optimal', '653/252', '-124/21 -61/21 -5 31/21', '-31/6 -13/6 -5 0'),
+    ('optimal', '-7', '-1 4', '-1 4'),
+    ('unbounded', None, None, '253/24 237/16 -9 19/8'),
+    ('optimal', '-5/2', '2 -2 -2', '11/4 -3 -2'),
+    ('unbounded', None, None, '11/6 -19/6 5/2 -73/6'),
     ('optimal', '19/3', '19/12 1/3', '19/12 1/3'),
-    ('unbounded', None, None, '3/2 6 5/4 -23/12'),
+    ('unbounded', None, None, '3/2 6 -1 -8/3'),
     ('unbounded', None, None, '-133/27 -7/27 -2/9 0'),
     ('optimal', '7/8', '1/2 -6 -3 3', '1/2 -6 -3 3'),
-    ('optimal', '24', '-8/3 4', '-2/3 4'),
-    ('optimal', '127/12', '35/6 3 8 3', '17/2 5 8 3'),
-    ('unbounded', None, None, '13/2 7/2 2/3'),
+    ('optimal', '24', '-8/3 4', '-2/3 5/2'),
+    ('optimal', '127/12', '35/6 3 8 3', '-3/2 3 9/2 -1'),
+    ('unbounded', None, None, '11/3 0 1/6'),
     ('unbounded', None, None, '101/39 -3/2 -43/39'),
     ('unbounded', None, None, '25/7 -11/28 481/84 0'),
-    ('optimal', '81/8', '-3/4 0 -1/2 -5', '0 0 -1/2 -9/2'),
+    ('optimal', '81/8', '-3/4 0 -1/2 -5', '0 -1 -5/2 -5'),
     ('unbounded', None, None, '1 0 0'),
-    ('optimal', '-4/3', '-4/3 0', '-4/3 0'),
-    ('optimal', '46/3', '-4 0 4/3', '-3 1 4/3'),
-    ('optimal', '0', '3 -1/2', '4 1/2'),
+    ('optimal', '-4/3', '-4/3 0', '-4/3 -3'),
+    ('optimal', '46/3', '-4 0 4/3', '-4 0 4/3'),
+    ('optimal', '0', '3 -1/2', '3 -1/2'),
     ('optimal', '98/9', '5 -2 4 2/3', '5 -2 4 2/3'),
     ('optimal', '61/9', '2 4 -2 4/3', '2 4 -2 4/3'),
-    ('unbounded', None, None, '8/3 -13/6 0 0'),
-    ('optimal', '22/3', '2 -4 -1', '2 -4 0'),
-    ('unbounded', None, None, '7/15 -91/60 0 1'),
+    ('unbounded', None, None, '1/2 0 0 0'),
+    ('optimal', '22/3', '2 -6 -1', '2 -6 -1'),
+    ('unbounded', None, None, '2 -83/48 1/12 -1'),
     ('unbounded', None, None, '101/25 57/25 206/25 -13/25'),
-    ('optimal', '7', '0 -7', '3 -6'),
+    ('optimal', '7', '0 -7', '0 -7'),
     ('optimal', '-35/9', '4 -3 -1 -5/3', '4 -3 -1 -5/3'),
-    ('unbounded', None, None, '-5 0'),
+    ('unbounded', None, None, '0 0'),
     ('unbounded', None, None, '11/3 0 0'),
     ('infeasible', None, None, None),
     ('unbounded', None, None, '2 -1/2 3'),
@@ -289,146 +295,146 @@ FUZZ_EXPECTED = [
     ('infeasible', None, None, None),
     ('optimal', '325/24', '-7/2 -13/6 -5/4 1/4', '-2 0 -3 -5/2'),
     ('optimal', '7', '5/3 0 5/2 2', '5/3 0 5/2 2'),
-    ('unbounded', None, None, '29/2 -53/4 0'),
+    ('unbounded', None, None, '-12 0 0'),
     ('unbounded', None, None, '4/3 6 5/2'),
-    ('optimal', '15/2', '-6 -1', '-6 -1'),
-    ('unbounded', None, None, '7/2 1 -13/2 -4'),
+    ('optimal', '15/2', '-6 -1', '-19/3 -2'),
+    ('unbounded', None, None, '7/2 -1 -13/2 -4'),
     ('optimal', '-8/3', '-2/3 -2', '-2/3 -2'),
     ('optimal', '-7/2', '4 -3/2', '4 -3/2'),
     ('unbounded', None, None, '1/2 -152/71 444/71 450/71'),
-    ('optimal', '127/6', '-5 2 4', '-4 5 -2'),
-    ('optimal', '-5/6', '-1/2 -1', '-1/2 -1'),
-    ('unbounded', None, None, '47/6 14/3 1 0'),
+    ('optimal', '127/6', '-5 2 4', '-5 2 0'),
+    ('optimal', '-5/6', '-1/2 -1', '-3/2 0'),
+    ('unbounded', None, None, '53/6 14/3 -1 0'),
     ('optimal', '32/3', '-6 -2', '-5 -1'),
-    ('unbounded', None, None, '-5/2 19/24 7/2 -5/4'),
-    ('optimal', '-4', '9/2 -7', '9/2 -9/2'),
-    ('unbounded', None, None, '-35/2 -143/6 -3 -1/2'),
-    ('optimal', '32', '1 1/2 -8 -5/2', '2 1/2 -7 -5/2'),
+    ('unbounded', None, None, '-92/9 -6 -1/2 -5/4'),
+    ('optimal', '-4', '9/2 -7', '9/2 -7'),
+    ('unbounded', None, None, '-1 5/3 -1 -1'),
+    ('optimal', '32', '1 1/2 -8 -4', '2 -3/2 -7 -4'),
     ('unbounded', None, None, '4 3/2 -6'),
     ('infeasible', None, None, None),
-    ('optimal', '113/24', '5/6 -1 19/24 -8', '4/3 -1/3 -1 -4'),
-    ('unbounded', None, None, '-5 -3/2'),
-    ('unbounded', None, None, '6 6'),
+    ('optimal', '113/24', '5/6 -1 19/24 -8', '5/6 -1 8/3 -8'),
+    ('unbounded', None, None, '0 -2'),
+    ('unbounded', None, None, '-2 0'),
     ('optimal', '0', '0 0', '0 0'),
     ('unbounded', None, None, '1/2 -7/2 -3'),
-    ('optimal', '111/4', '11/2 0 -1/2 -3', '11/2 -3 5/2 -3'),
-    ('optimal', '169/22', '4/3 -39/22 -24/11 -46/11', '-49/15 -93/10 -13/5 0'),
-    ('unbounded', None, None, '-31 2 -9'),
-    ('optimal', '-37/6', '-6 -2/3 2', '-739/123 -181/246 253/123'),
+    ('optimal', '111/4', '11/2 0 -1/2 2', '11/2 0 -1/2 2'),
+    ('optimal', '169/22', '4/3 -39/22 -24/11 -46/11', '-5/12 -3/2 -1/2 0'),
+    ('unbounded', None, None, '-28 -1 -9'),
+    ('optimal', '-37/6', '-6 -2/3 2', '-6 -2/3 2'),
     ('optimal', '-1/4', '-1/3 -3/2 -1/2', '-1/3 -3/2 -1/2'),
-    ('optimal', '125/12', '3 -25/4 0', '3 -25/4 0'),
-    ('unbounded', None, None, '2 -3 -22/21 -95/42'),
-    ('optimal', '35/8', '19/8 -2', '19/8 1/2'),
-    ('optimal', '77/2', '17/2 0 1', '17/2 0 1'),
+    ('optimal', '125/12', '3 -25/4 0', '3 -25/12 -25/12'),
+    ('unbounded', None, None, '2 1 0 0'),
+    ('optimal', '35/8', '19/8 -2', '0 -2'),
+    ('optimal', '77/2', '17/2 0 1', '3 -2 -2'),
     ('optimal', '-67/6', '-1 5/3 3', '-1 5/3 3'),
-    ('optimal', '-2', '2 -4', '29/2 17/2'),
-    ('optimal', '-73/12', '-11/6 -9/2 -1/2 5/3', '7/6 2 9/2 67/24'),
+    ('optimal', '-2', '2 -4', '2 -4'),
+    ('optimal', '-73/12', '-11/6 -9/2 -1/2 5/3', '-17/15 -31/10 -1/2 5/3'),
     ('optimal', '-4', '2 1/2', '2 1/2'),
-    ('optimal', '-1/7', '3/7 -2 -10/21', '0 -3/2 -1/3'),
+    ('optimal', '-1/7', '3/7 -2 -10/21', '3/7 -2 -10/21'),
     ('infeasible', None, None, None),
-    ('unbounded', None, None, '43/3 -5 37/3'),
-    ('unbounded', None, None, '-5/2 -2 0 3/2'),
-    ('unbounded', None, None, '133/60 17/30 18/5 0'),
-    ('optimal', '-843/40', '7/6 3 361/30 253/60', '7/6 6 541/30 433/60'),
+    ('unbounded', None, None, '-2/3 -5 -8/3'),
+    ('unbounded', None, None, '0 -2 -2 -1/2'),
+    ('unbounded', None, None, '5/12 25/6 0 0'),
+    ('optimal', '-843/40', '7/6 3 361/30 253/60', '7/6 3 361/30 253/60'),
     ('unbounded', None, None, '2987/160 -37/160 249/32 433/40'),
-    ('unbounded', None, None, '-3/8 5/2 7/4'),
-    ('unbounded', None, None, '-7/30 -11/15 0'),
+    ('unbounded', None, None, '2 5/2 7/4'),
+    ('unbounded', None, None, '1/2 0 0'),
     ('infeasible', None, None, None),
-    ('optimal', '1', '-1/3 -34/3 -4', '-1/3 -7/3 -1'),
-    ('optimal', '-59/120', '-1/10 -13/10', '-1 -1'),
+    ('optimal', '1', '-4/3 0 -4', '-4/3 0 -4'),
+    ('optimal', '-59/120', '-1/10 -13/10', '-1/10 -13/10'),
     ('optimal', '19', '2 -6 0', '2 -6 0'),
-    ('optimal', '17/24', '0 1/2 -11/6 3/2', '0 4/3 -3 9/2'),
+    ('optimal', '17/24', '0 1/2 -11/6 3/2', '0 1/2 -11/6 3/2'),
     ('infeasible', None, None, None),
-    ('optimal', '-17/24', '-3 3/4 1/2', '-3 2 11/2'),
-    ('optimal', '0', '0 -10/7 -22/7', '2 -7/3 -4/3'),
-    ('unbounded', None, None, '-437/202 -949/606 37/303 1855/606'),
-    ('optimal', '-5/3', '2 0 2/3 1', '-1/4 3 2/3 1/4'),
-    ('optimal', '-118/9', '-5/6 5 43/6', '2/3 5 26/3'),
-    ('infeasible', None, None, None),
-    ('infeasible', None, None, None),
-    ('optimal', '5/12', '-1 5/3', '-1 5/3'),
-    ('optimal', '15/4', '5 -5', '3 -3'),
-    ('unbounded', None, None, '-2/3 0 0 0'),
+    ('optimal', '-17/24', '-3 3/4 1/2', '-3 3/4 1/2'),
+    ('optimal', '0', '0 -10/7 -22/7', '47/26 -32/13 -14/13'),
+    ('unbounded', None, None, '13/3 -5/6 0 0'),
+    ('optimal', '-5/3', '2 0 2/3 1', '2 0 2/3 1'),
+    ('optimal', '-118/9', '-5/6 5 43/6', '-5/6 5 43/6'),
     ('infeasible', None, None, None),
     ('infeasible', None, None, None),
-    ('optimal', '21/4', '-1/2 1 -1', '5/2 -1/2 -7/4'),
-    ('optimal', '1/2', '1 -5/3 17/12', '1 -5/3 17/12'),
-    ('unbounded', None, None, '-3/2 0 -3/2'),
-    ('unbounded', None, None, '-1 4 1/6 4'),
-    ('optimal', '3', '-3/2 -2 4 4/3', '-3/2 5/6 19/6 1/6'),
+    ('optimal', '5/12', '-1 5/3', '0 0'),
+    ('optimal', '15/4', '3 -5', '3 -5'),
+    ('unbounded', None, None, '0 0 0 0'),
+    ('infeasible', None, None, None),
+    ('infeasible', None, None, None),
+    ('optimal', '21/4', '-1/2 1 -1', '3/2 0 0'),
+    ('optimal', '1/2', '1 -5/3 17/12', '-2 -5/3 2/3'),
+    ('unbounded', None, None, '0 -1 -3/2'),
+    ('unbounded', None, None, '-13/3 4 -7/3 4'),
+    ('optimal', '3', '-3/2 -2 4 4/3', '-3/2 -2/3 4 0'),
     ('unbounded', None, None, '1 5/2'),
-    ('optimal', '11/4', '-8/3 -1/2 5/3', '-2/3 1 5/3'),
+    ('optimal', '11/4', '-8/3 -1/2 5/3', '-8/3 -1/2 5/3'),
     ('unbounded', None, None, '5/9 0'),
     ('optimal', '-77/12', '7/6 -7/24 15/8', '5/3 -2/3 3/2'),
-    ('optimal', '5', '7/6 3 0', '7/6 3 0'),
+    ('optimal', '5', '7/6 3 0', '-7/6 -1/2 0'),
     ('unbounded', None, None, '2/3 1/3 7 -7/3'),
     ('infeasible', None, None, None),
     ('infeasible', None, None, None),
-    ('unbounded', None, None, '3/2 -29/6 -2 0'),
+    ('unbounded', None, None, '-1/2 -17/6 -2 0'),
     ('optimal', '1/2', '0 -1/2', '0 -1/2'),
     ('optimal', '-1/6', '6 1/3', '6 1/3'),
-    ('unbounded', None, None, '-95/16 4 13/16 -3'),
-    ('unbounded', None, None, '-37/3 56/3'),
+    ('unbounded', None, None, '-5 3/2 0 -3'),
+    ('unbounded', None, None, '0 0'),
     ('unbounded', None, None, '1 0 -5'),
     ('infeasible', None, None, None),
     ('optimal', '-1', '-2/3 4 2', '0 5 2'),
-    ('optimal', '-11/4', '1 3 -2 -1', '5/2 3/2 -2 -1'),
+    ('optimal', '-11/4', '1 3 -2 -1', '1 5 -7/2 -3'),
     ('optimal', '-29/4', '4 -5/3', '4 -5/3'),
-    ('unbounded', None, None, '1/2 -1 -35/6'),
-    ('optimal', '12', '4 8', '4 8'),
-    ('unbounded', None, None, '-6 3/2 -2 -5'),
-    ('unbounded', None, None, '-3/2 0 3'),
-    ('unbounded', None, None, '-22/9 9/2 0'),
+    ('unbounded', None, None, '1/2 -13/8 -15/4'),
+    ('optimal', '12', '4 8', '3 0'),
+    ('unbounded', None, None, '0 -1/2 -5/2 -8'),
+    ('unbounded', None, None, '0 0 2'),
+    ('unbounded', None, None, '5/6 9/2 0'),
     ('optimal', '-143/12', '8/3 5', '8/3 5'),
     ('optimal', '3', '-2 -3/2 -5/3', '-2 -3/2 -5/3'),
-    ('optimal', '17/2', '1 8/3', '1 8/3'),
-    ('optimal', '7/2', '-2 -3/4', '-3/2 0'),
-    ('unbounded', None, None, '-4 1 2/3 -4'),
+    ('optimal', '17/2', '1 8/3', '-1 -1/3'),
+    ('optimal', '7/2', '-3/2 -1', '-3/2 -1'),
+    ('unbounded', None, None, '-4 5/2 -5/6 -4'),
     ('optimal', '1027/288', '-121/24 -53/24 -1 11/6', '-121/24 -53/24 -1 11/6'),
     ('infeasible', None, None, None),
-    ('unbounded', None, None, '-23/12 2/3'),
+    ('unbounded', None, None, '0 2/3'),
     ('infeasible', None, None, None),
-    ('unbounded', None, None, '251/64 -3 77/64 73/16'),
-    ('unbounded', None, None, '3 -2 -10/3 0'),
-    ('unbounded', None, None, '-62/51 -71/17'),
-    ('optimal', '-2/3', '-1/2 4/3 -3', '-19/26 119/78 -5/2'),
-    ('optimal', '0', '1 0', '2 -1'),
+    ('unbounded', None, None, '111/8 -11/2 13/8 0'),
+    ('unbounded', None, None, '3 -25/24 -10/3 -5/2'),
+    ('unbounded', None, None, '23/12 0'),
+    ('optimal', '-2/3', '-1/2 4/3 -3', '-1/2 4/3 -3'),
+    ('optimal', '0', '1 0', '1 0'),
     ('unbounded', None, None, '-5/2 1 0'),
-    ('optimal', '-29/4', '1 3 -1/3 -4', '77/159 455/159 -55/159 -728/159'),
+    ('optimal', '-29/4', '1 3 -1/3 -4', '1 3 -1/3 -4'),
     ('infeasible', None, None, None),
-    ('unbounded', None, None, '-134/3 -143/6 233/6'),
-    ('optimal', '7/18', '-3/2 0 2/3', '1 0 3/2'),
-    ('unbounded', None, None, '-3 -3 -2 3/2'),
+    ('unbounded', None, None, '5/3 0 0'),
+    ('optimal', '7/18', '-3/2 0 2/3', '-3/2 0 2/3'),
+    ('unbounded', None, None, '3/10 39/10 19/10 0'),
     ('infeasible', None, None, None),
     ('unbounded', None, None, '3 5/6 -3'),
-    ('optimal', '365/24', '-11/6 2 -4 1/2', '-11/6 5/8 0 -4/3'),
-    ('optimal', '13', '0 -1/3 -25/2', '-5/2 -1/3 -5'),
+    ('optimal', '365/24', '-11/6 2 -4 1/2', '-11/6 2 -4 -4/3'),
+    ('optimal', '13', '0 -1/3 -25/2', '-3/2 -4/3 -5'),
     ('infeasible', None, None, None),
     ('unbounded', None, None, '77/4 43/4 -109/4 0'),
     ('optimal', '-85/12', '-2/3 -9/4', '-2/3 -9/4'),
     ('infeasible', None, None, None),
-    ('optimal', '37/6', '8 -7/2 -5/3', '23/7 -18/7 7/3'),
+    ('optimal', '37/6', '8 -7/2 -5/3', '23/3 -4 -5/3'),
     ('optimal', '-5', '-2 -1/3', '-2 -1/3'),
-    ('optimal', '16/5', '-21/10 -3/5', '-11/6 -2/3'),
+    ('optimal', '16/5', '-21/10 -3/5', '-3/2 -1'),
     ('infeasible', None, None, None),
     ('optimal', '-21/4', '1/4 -5/2', '1/4 -5/2'),
-    ('optimal', '-33/2', '3/2 3', '3 4'),
-    ('optimal', '1/6', '-2 1 -1/2 -3', '-3 1 -1/2 -1'),
+    ('optimal', '-33/2', '3/2 3', '3/2 3'),
+    ('optimal', '1/6', '-2 1 -1/2 -3', '-2 1 -1/2 -3'),
     ('optimal', '-5/2', '-5 5/2', '-5 5/2'),
     ('optimal', '3', '-3/2 -5/3', '-3/2 -5/3'),
     ('unbounded', None, None, '-37/6 0 0 0'),
-    ('optimal', '77/24', '-1/6 -2/3 2', '-1/6 -2/3 2'),
-    ('unbounded', None, None, '0 -2 -8/3'),
-    ('optimal', '5', '-8/3 1', '-8/3 1'),
-    ('optimal', '-19/4', '-2 -11/4 -5/2', '-2 -11/4 -5/2'),
+    ('optimal', '77/24', '-1/6 -2/3 2', '-37/6 -11/3 2'),
+    ('unbounded', None, None, '0 -9/2 -1'),
+    ('optimal', '5', '-4 1', '-4 0'),
+    ('optimal', '-19/4', '-2 -11/4 -5/2', '-1/2 -3 -3'),
     ('unbounded', None, None, '-8/3 0 0 0'),
     ('infeasible', None, None, None),
-    ('unbounded', None, None, '1 0 1'),
+    ('unbounded', None, None, '-5/2 0 1/2'),
     ('optimal', '-24', '-8 5', '-8 5'),
     ('optimal', '20/9', '-13/9 8/9', '-13/9 8/9'),
-    ('unbounded', None, None, '-11/2 0 -275/78 -38/13'),
-    ('optimal', '-20', '-5 -5', '-5 -5'),
-    ('optimal', '113/3', '-101/12 31/4 -7/2 -7', '-1/6 -7/3 -7/2 -17/4'),
+    ('unbounded', None, None, '-11/2 77/54 0 -28/9'),
+    ('optimal', '-20', '-5 -5', '-6 -6'),
+    ('optimal', '113/3', '-101/12 31/4 -7/2 -7', '5/3 -7/3 -7/2 -7'),
 ]
 
 
@@ -468,23 +474,31 @@ class TestFuzzCorpus:
                 _fmt(witness),
             )
             assert got == expected, f"program {k}"
+            # the pinned points are right, not only recorded
+            if witness is not None:
+                assert program.feasible_point(witness), f"program {k}"
+            if sol.x is not None:
+                assert program.feasible_point(sol.x), f"program {k}"
+                value = sum((c * v for c, v in zip(program.objective, sol.x)), F(0))
+                assert value == sol.value, f"program {k}"
 
     def test_rows_share_one_scale(self):
         """Scaling each row by the multiple of its own denominators would
-        change the phase-1 objective.  In about 2 of 1000 programs drawn like
-        the corpus that changes the witness, as here (recorded from the
-        Fraction tableau)."""
+        change the phase-1 objective.  In about 26 of 4000 programs drawn like
+        the corpus that changes the witness, as here: the scaled rows give
+        (0, -2/3)."""
         p = LinearProgram(
-            (F(1, 3), F(1, 4)),
+            (F(-1), F(3)),
             (
-                Constraint((F(-2), F(1, 2)), GEQ, F(-9, 2)),
-                Constraint((F(1, 4), F(-1, 4)), LEQ, F(3, 4)),
-                Constraint((F(1, 10), F(-1, 5)), LEQ, F(31, 15)),
+                Constraint((F(1, 2), F(1, 4)), LEQ, F(1, 6)),
+                Constraint((F(-1, 5), F(-2, 5)), LEQ, F(4, 15)),
+                Constraint((F(1, 2), F(-1)), LEQ, F(2, 3)),
+                Constraint((F(4), F(-1)), GEQ, F(-1, 3)),
             ),
-            bounds=((None, F(2)), (F(-3), None)),
+            bounds=((None, F(1, 2)), (F(-5, 3), None)),
         )
-        assert lp_feasible(p).certificate.witness == (0, -3)
-        assert lp_optimize(p).status == "unbounded"
+        assert lp_feasible(p).certificate.witness == (F(-2, 9), F(-5, 9))
+        assert lp_optimize(p).value == F(29, 18)
 
     def test_corpus_covers_every_status(self):
         statuses = {expected[0] for expected in FUZZ_EXPECTED}
@@ -509,6 +523,64 @@ class TestFuzzCorpus:
             )
             assert sol.value == best, f"program {k}"
 
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_programs_match_vertex_enumeration(self, data):
+        """Random pointed programs against vertex enumeration, independently
+        of the pivot path: no vertex exactly when infeasible, a recession
+        direction r with objective . r = 1 exactly when unbounded, and
+        otherwise the best vertex value."""
+        program = data.draw(_programs())
+        rows = _as_leq_rows(program)
+        n = program.nvars
+        assume(RealMatrix([list(c.coeffs) for c in rows]).rank() == n)
+        sol = lp_optimize(program)
+        feasible = lp_feasible(program)
+        vertices = _polytope_vertices(rows, n)
+        assert feasible.answer == bool(vertices)
+        if not vertices:
+            assert sol.status == "infeasible"
+            return
+        assert program.feasible_point(feasible.certificate.witness)
+        c = program.objective
+        rays = _polytope_vertices(
+            [Constraint(con.coeffs, LEQ, F(0)) for con in rows]
+            + [Constraint(c, LEQ, F(1)), Constraint(tuple(-v for v in c), LEQ, F(-1))],
+            n,
+        )
+        if rays:
+            assert sol.status == "unbounded"
+            return
+        assert sol.status == "optimal"
+        assert program.feasible_point(sol.x)
+        assert sum((a * v for a, v in zip(c, sol.x)), F(0)) == sol.value
+        best = max(sum((a * v for a, v in zip(c, x)), F(0)) for x in vertices)
+        assert sol.value == best
+
+
+@st.composite
+def _programs(draw):
+    """2-3 variable programs with 1-4 rows of every relation and free,
+    one-sided, two-sided and crossing bounds."""
+    n = draw(st.integers(2, 3))
+    q = rationals(6, 4)
+    cons = draw(st.lists(
+        st.builds(
+            Constraint,
+            st.tuples(*[q] * n),
+            st.sampled_from((LEQ, LEQ, GEQ, EQ)),
+            q,
+        ),
+        min_size=1,
+        max_size=4,
+    ))
+    bounds = draw(st.one_of(
+        st.none(),
+        st.tuples(*[st.tuples(st.none() | q, st.none() | q)] * n),
+    ))
+    objective = draw(st.tuples(*[q] * n))
+    return LinearProgram(objective, tuple(cons), bounds)
 
 def _cold(solve, program):
     """solve(program) with no standard form kept from an earlier call."""
@@ -582,6 +654,64 @@ class TestPhase1Cache:
             free = LinearProgram(tuple([F(0)] * n), ())
             assert lp_feasible(free).certificate.witness == tuple([F(0)] * n)
         assert len(phase1_runs) == 4
+
+
+class TestPhase1Start:
+    """Phase 1 starts on the slack basis: a row gets an artificial column
+    only when its slack cannot start basic."""
+
+    def test_nonnegative_leq_rows_take_no_pivot(self, monkeypatch):
+        pivots = []
+        real = lp.bareiss_pivot
+        monkeypatch.setattr(
+            lp, "bareiss_pivot", lambda *args: pivots.append(args) or real(*args)
+        )
+        rng = random.Random(5)
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            rows = tuple(
+                Constraint(
+                    tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)),
+                    LEQ,
+                    F(rng.randint(0, 6), rng.randint(1, 3)),
+                )
+                for _ in range(rng.randint(1, 5))
+            )
+            p = LinearProgram(tuple([F(0)] * n), rows, tuple([(F(0), None)] * n))
+            outcome = _cold(lp_feasible, p)
+            assert outcome.certificate.witness == tuple([F(0)] * n)
+        assert pivots == []
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            generate.gen_regular_matrix(3, 0),
+            IntervalMatrix([[iv(1, 2), iv(1, 1)], [iv(1, 1), iv(1, 2)]]),
+        ],
+        ids=["regular", "singular"],
+    )
+    def test_kernel_lp_has_one_artificial(self, monkeypatch, matrix):
+        """The rows (+-C - R D_s) x <= 0 start on their slacks; only
+        e^T D_s x >= 1 needs an artificial."""
+        n_cols, starts = [], []
+        real_phase1, real_simplex = lp._phase1, lp._simplex_min
+
+        def phase1(rows, rels, n):
+            n_cols.append(n + sum(rel != EQ for rel in rels))
+            return real_phase1(rows, rels, n)
+
+        def simplex(tableau, obj, basis, d):
+            if n_cols:  # phase 1 runs the simplex once, before any phase 2
+                cols = n_cols.pop()
+                starts.append((len(obj) - 1 - cols, sum(b >= cols for b in basis)))
+            return real_simplex(tableau, obj, basis, d)
+
+        monkeypatch.setattr(lp, "_phase1", phase1)
+        monkeypatch.setattr(lp, "_simplex_min", simplex)
+        lp._last_standardized = None
+        is_regular_exact(matrix)
+        # (artificial columns, artificials in the starting basis) per LP
+        assert starts and set(starts) == {(1, 1)}
 
 
 class TestContracts:
