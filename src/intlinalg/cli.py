@@ -345,6 +345,8 @@ def _run_member(args, out: TextIO) -> int:
     if args.kind == "parametric":
         if args.terms is None or args.pbox is None:
             raise ParseError("parametric membership needs --terms and --pbox")
+        if args.terms < 1:
+            raise ParseError(f"--terms must be at least 1, got {args.terms}")
         stacked = _load_matrix(args.matrix)
         rhs_stack = _load_vector(args.rhs)
         k = args.terms

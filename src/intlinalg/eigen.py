@@ -31,6 +31,7 @@ from .matrices import IntervalMatrix, IntervalVector, RealMatrix, SignVector, Ve
 from .regularity import is_regular_exact
 from .spectral import (
     DEFAULT_TOL,
+    _positive_tol,
     is_positive_definite_real,
     is_positive_semidefinite_real,
     spectral_radius,
@@ -227,7 +228,7 @@ def sym_eigen_range(
     midpoint spectra plus radius spectral radius, tightened by the attained
     range of a symmetric vertex scan.
     """
-    tol = rational(tol)
+    tol = _positive_tol(tol)
     center, radius = sym.midpoint_radius()
     diag_radius = _is_diagonal(radius)
     ess_nonneg = _is_essentially_nonnegative(center)
@@ -293,9 +294,9 @@ def spectral_radius_range(
     matrix: IntervalMatrix, tol: Fraction = DEFAULT_TOL
 ) -> Interval:
     """Range of spectral radii over members: nonnegative or diagonal classes."""
+    tol = _positive_tol(tol)
     if not matrix.is_square():
         raise NotSquare("spectral radius range needs a square matrix")
-    tol = rational(tol)
     n = matrix.n
     off_diag_zero = all(
         matrix[i, j].is_degenerate() and matrix[i, j].lo == 0
@@ -331,10 +332,11 @@ def strong_pd(
     Sufficient modes return a Verdict; vertex-exact returns a Decision by
     testing every symmetric endpoint vertex with exact pivot signs.
     """
+    tol = _positive_tol(tol)
     center, radius = sym.midpoint_radius()
     if mode == "sufficient-1":
-        lam_min, _ = point_eigen_range(center, rational(tol))
-        rho_rad = spectral_radius(radius, rational(tol)).value
+        lam_min, _ = point_eigen_range(center, tol)
+        rho_rad = spectral_radius(radius, tol).value
         gap_ok = (
             lam_min.value.lo >= rho_rad.hi
             if semidefinite
@@ -376,6 +378,7 @@ def weak_pd(
     sym: SymmetricIntervalMatrix, tol: Fraction = DEFAULT_TOL
 ) -> Verdict:
     """Some symmetric member positive definite?  One-sided answers only."""
+    tol = _positive_tol(tol)
     center, _ = sym.midpoint_radius()
     if is_positive_definite_real(center).is_proven:
         return Verdict.proven("midpoint member is positive definite")
@@ -402,6 +405,7 @@ def hurwitz_general(
     matrix: IntervalMatrix, tol: Fraction = DEFAULT_TOL
 ) -> Verdict:
     """Sufficient Hurwitz check: definiteness of the symmetric part of -A."""
+    tol = _positive_tol(tol)
     if not matrix.is_square():
         raise NotSquare("Hurwitz stability needs a square matrix")
     n = matrix.n

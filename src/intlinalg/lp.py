@@ -13,13 +13,16 @@ state is kept, without the artificial columns that phase 2 never enters:
 further objectives over an equal program, such as the 2n of ``hull_exact``
 over each feasible orthant, start at phase 2.
 
-Every orthant-decomposition decider in the package funnels through this
-module: ``feasible_orthants`` is the one sweep, which solves one feasibility
-LP per sign orthant with the signs passed as variable bounds, and
-``oettli_prager_rows``, built once per sweep, gives each orthant the row
-pairs of the Oettli-Prager inequality |C x - b_c| <= R |x| + d that those
-LPs share.  ``oettli_prager_member`` inverts those rows: from a witness it
-builds the member system that the witness solves, and checks it.
+Every solvability LP in the package takes one of two shapes.  The orthant
+sweep, ``feasible_orthants``, solves one feasibility LP per sign orthant it
+is given, with the signs passed as variable bounds; ``oettli_prager_rows``,
+built once per sweep, gives each orthant the row pairs of the Oettli-Prager
+inequality |C x - b_c| <= R |x| + d.  A nonnegative weak mode sweeps the one
+orthant x >= 0.  The split LP, in ``systems``, writes x = x1 - x2 with
+x1, x2 >= 0 for problems that hold for every member at once: strong
+inequalities and tolerance solutions.  ``oettli_prager_member`` inverts the
+Oettli-Prager rows: from a witness it builds the member system that the
+witness solves, and checks it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import Certificate, Decision, as_vector, rational
 from .errors import MalformedProgram
@@ -449,17 +452,15 @@ def oettli_prager_member(
 
 
 def feasible_orthants(
-    n: int, rows_for: Callable[[SignVector], Sequence[Constraint]]
+    signs: Iterable[SignVector], rows_for: Callable[[SignVector], Sequence[Constraint]]
 ) -> Iterator[Tuple[SignVector, LinearProgram, Vector]]:
-    """(s, program, witness) for each sign orthant whose program is feasible.
-
-    Orthants come in ``SignVector.all(n)`` order; the program has the rows
-    ``rows_for(s)``, a zero objective and the bounds s_j x_j >= 0.
+    """(s, program, witness) for each orthant s of ``signs``, in that order,
+    whose program is feasible: the rows ``rows_for(s)``, a zero objective and
+    the bounds s_j x_j >= 0.
     """
-    zero = tuple([Fraction(0)] * n)
-    for s in SignVector.all(n):
+    for s in signs:
         bounds = tuple((0, None) if e > 0 else (None, 0) for e in s)
-        program = LinearProgram(zero, tuple(rows_for(s)), bounds)
+        program = LinearProgram(tuple([Fraction(0)] * s.dim), tuple(rows_for(s)), bounds)
         outcome = lp_feasible(program)
         if outcome.answer:
             yield s, program, outcome.certificate.witness

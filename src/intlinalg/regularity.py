@@ -45,7 +45,7 @@ def _kernel_decision(matrix: IntervalMatrix) -> Decision:
         nonzero = Constraint(tuple(Fraction(e) for e in s), GEQ, Fraction(1))
         return pairs_for(s) + [nonzero]
 
-    hit = next(feasible_orthants(matrix.n, rows_for), None)
+    hit = next(feasible_orthants(SignVector.all(matrix.n), rows_for), None)
     if hit is None:
         return Decision(True)
     s, _, x = hit

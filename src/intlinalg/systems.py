@@ -4,6 +4,14 @@ Membership tests, the exact hull by orthant sweep, enclosure methods
 (interval Gaussian elimination, Jacobi, Gauss-Seidel, Krawczyk, and the
 Hansen-Bliek-Rohn style closed form), structured exact solvers, the
 solvability suite with dual certificates, and tolerance/control solutions.
+
+Each solvability decider runs one of two LP shapes.  The orthant sweep
+(``lp.feasible_orthants``) serves weak solvability, strong solvability of
+equations (on the dual), weak inequalities and control solutions over every
+orthant, and the nonnegative weak modes over the one orthant x >= 0.  The
+split LP (``_split_lp``) serves strong inequalities, with x >= 0 or with
+x = x1 - x2, and tolerance solutions, which are strong solutions of
+[A; -A] x <= [b_hi; -b_lo].
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ from .errors import (
 )
 from .lp import (
     EQ,
-    GEQ,
     LEQ,
     Constraint,
     LinearProgram,
@@ -155,7 +162,7 @@ def hull_exact(matrix: IntervalMatrix, rhs: IntervalVector) -> SolveReport:
     hi: List[Optional[Fraction]] = [None] * n
     any_feasible = False
     for _, program, _ in feasible_orthants(
-        n, oettli_prager_rows(center, radius, b_mid, b_rad)
+        SignVector.all(n), oettli_prager_rows(center, radius, b_mid, b_rad)
     ):
         any_feasible = True
         for j in range(n):
@@ -585,12 +592,14 @@ def solve_auto(
 def solvability(matrix: IntervalMatrix, rhs: IntervalVector, mode: str) -> Decision:
     """Weak/strong (nonnegative) solvability of A x = b with certificates."""
     _check_system(matrix, rhs)
-    center, radius = matrix.midpoint_radius()
-    b_mid, b_rad = rhs.midpoint_radius()
-    m, n = matrix.shape
-    if mode == "weak":
+    if mode in ("weak", "nonneg-weak"):
+        # x >= 0 is the one orthant (1, ..., 1)
+        n = matrix.n
+        signs = SignVector.all(n) if mode == "weak" else [SignVector.ones(n)]
+        center, radius = matrix.midpoint_radius()
+        b_mid, b_rad = rhs.midpoint_radius()
         hit = next(
-            feasible_orthants(n, oettli_prager_rows(center, radius, b_mid, b_rad)),
+            feasible_orthants(signs, oettli_prager_rows(center, radius, b_mid, b_rad)),
             None,
         )
         if hit is None:
@@ -602,25 +611,6 @@ def solvability(matrix: IntervalMatrix, rhs: IntervalVector, mode: str) -> Decis
             Certificate(
                 sign_vector=s.entries, witness=x, member=member, rhs_member=b_vec
             ),
-        )
-    if mode == "nonneg-weak":
-        lower = matrix.lower()
-        upper = matrix.upper()
-        cons = [
-            Constraint(lower.rows[i], LEQ, rhs[i].hi) for i in range(m)
-        ] + [
-            Constraint(upper.rows[i], GEQ, rhs[i].lo) for i in range(m)
-        ]
-        bounds = tuple((Fraction(0), None) for _ in range(n))
-        outcome = lp_feasible(
-            LinearProgram(tuple([Fraction(0)] * n), tuple(cons), bounds)
-        )
-        if not outcome.answer:
-            return Decision(False)
-        x = outcome.certificate.witness
-        member, b_vec = oettli_prager_member(matrix, x, SignVector.ones(n), rhs)
-        return Decision(
-            True, Certificate(witness=x, member=member, rhs_member=b_vec)
         )
     if mode in ("strong", "nonneg-strong"):
         return _strong_solvability(matrix, rhs, nonneg=(mode == "nonneg-strong"))
@@ -651,7 +641,7 @@ def _strong_solvability(
             Constraint(b_row, LEQ, Fraction(-1))
         ]
 
-    hit = next(feasible_orthants(m, rows_for), None)
+    hit = next(feasible_orthants(SignVector.all(m), rows_for), None)
     if hit is None:
         return Decision(True)
     s, program, p = hit
@@ -673,14 +663,15 @@ def ineq_solvability(
 ) -> Decision:
     """Solvability of A x <= b in the four weak/strong variants."""
     _check_system(matrix, rhs)
-    center, radius = matrix.midpoint_radius()
-    m, n = matrix.shape
     b_lo = rhs.lower()
     b_hi = rhs.upper()
-    if mode == "weak":
-        # (C - R D_s) x <= b_hi: the first row of each pair, b_c = b_hi, d = 0
-        pairs_for = oettli_prager_rows(center, radius, b_hi)
-        hit = next(feasible_orthants(n, lambda s: pairs_for(s)[0::2]), None)
+    if mode in ("weak", "nonneg-weak"):
+        # (C - R D_s) x <= b_hi: the first row of each pair, b_c = b_hi, d = 0;
+        # x >= 0 is the one orthant (1, ..., 1)
+        n = matrix.n
+        signs = SignVector.all(n) if mode == "weak" else [SignVector.ones(n)]
+        pairs_for = oettli_prager_rows(*matrix.midpoint_radius(), b_hi)
+        hit = next(feasible_orthants(signs, lambda s: pairs_for(s)[0::2]), None)
         if hit is None:
             return Decision(False)
         s, program, x = hit
@@ -691,48 +682,41 @@ def ineq_solvability(
                 sign_vector=s.entries, witness=x, member=member, rhs_member=b_hi
             ),
         )
-    if mode == "strong":
-        upper = matrix.upper()
-        lower = matrix.lower()
-        cons = [
-            Constraint(tuple(upper.rows[i]) + tuple(-v for v in lower.rows[i]), LEQ, b_lo[i])
-            for i in range(m)
-        ]
-        bounds = tuple((Fraction(0), None) for _ in range(2 * n))
-        outcome = lp_feasible(
-            LinearProgram(tuple([Fraction(0)] * (2 * n)), tuple(cons), bounds)
-        )
-        if not outcome.answer:
+    if mode in ("strong", "nonneg-strong"):
+        x = _split_lp(matrix, b_lo, nonneg=(mode == "nonneg-strong"))
+        if x is None:
             return Decision(False)
-        parts = outcome.certificate.witness
-        x = tuple(parts[j] - parts[n + j] for j in range(n))
-        _verify_universal_witness(matrix, b_lo, x)
-        return Decision(True, Certificate(witness=x, note="universal witness"))
-    if mode == "nonneg-weak":
-        cons = [
-            Constraint(matrix.lower().rows[i], LEQ, b_hi[i]) for i in range(m)
-        ]
-        bounds = tuple((Fraction(0), None) for _ in range(n))
-        outcome = lp_feasible(
-            LinearProgram(tuple([Fraction(0)] * n), tuple(cons), bounds)
-        )
-        if not outcome.answer:
-            return Decision(False)
-        return Decision(True, Certificate(witness=outcome.certificate.witness))
-    if mode == "nonneg-strong":
-        cons = [
-            Constraint(matrix.upper().rows[i], LEQ, b_lo[i]) for i in range(m)
-        ]
-        bounds = tuple((Fraction(0), None) for _ in range(n))
-        outcome = lp_feasible(
-            LinearProgram(tuple([Fraction(0)] * n), tuple(cons), bounds)
-        )
-        if not outcome.answer:
-            return Decision(False)
-        x = outcome.certificate.witness
         _verify_universal_witness(matrix, b_lo, x)
         return Decision(True, Certificate(witness=x, note="universal witness"))
     raise ValueError(f"unknown inequality solvability mode {mode!r}")
+
+
+def _split_lp(
+    matrix: IntervalMatrix, bound: Sequence[Fraction], nonneg: bool = False
+) -> Optional[Vector]:
+    """x with A x <= bound for every member A, or None; one LP (Rohn).
+
+    With x = x1 - x2 and x1, x2 >= 0, the row-wise maximum of A x is at most
+    upper x1 - lower x2, and equals it when x1, x2 have disjoint supports, as
+    they may; with nonneg, x >= 0 and the maximum is upper x.
+    """
+    n = matrix.n
+    upper = matrix.upper().rows
+    if nonneg:
+        rows = [Constraint(u, LEQ, b) for u, b in zip(upper, bound)]
+    else:
+        rows = [
+            Constraint(tuple(u) + tuple(-v for v in lo), LEQ, b)
+            for u, lo, b in zip(upper, matrix.lower().rows, bound)
+        ]
+    k = n if nonneg else 2 * n
+    outcome = lp_feasible(
+        LinearProgram(tuple([Fraction(0)] * k), tuple(rows), ((0, None),) * k)
+    )
+    if not outcome.answer:
+        return None
+    y = outcome.certificate.witness
+    return y if nonneg else tuple(a - b for a, b in zip(y[:n], y[n:]))
 
 
 def _verify_universal_witness(
@@ -776,32 +760,27 @@ def tc_membership(
 def tc_existence(matrix: IntervalMatrix, rhs: IntervalVector, kind: str) -> Decision:
     """Does a tolerance (one LP) or control (orthant sweep) solution exist?"""
     _check_system(matrix, rhs)
-    center, radius = matrix.midpoint_radius()
-    b_mid, b_rad = rhs.midpoint_radius()
-    m, n = matrix.shape
     if kind == "tolerance":
-        cons = []
-        for i in range(m):
-            plus = tuple(center.rows[i][j] + radius.rows[i][j] for j in range(n))
-            minus = tuple(-center.rows[i][j] + radius.rows[i][j] for j in range(n))
-            cons.append(Constraint(plus + minus, LEQ, b_mid[i] + b_rad[i]))
-            cons.append(Constraint(minus + plus, LEQ, -b_mid[i] + b_rad[i]))
-        bounds = tuple((Fraction(0), None) for _ in range(2 * n))
-        outcome = lp_feasible(
-            LinearProgram(tuple([Fraction(0)] * (2 * n)), tuple(cons), bounds)
+        # every member maps x into [b_lo, b_hi]: [A; -A] x <= [b_hi; -b_lo],
+        # with the rows of A and -A interleaved
+        stacked = IntervalMatrix(
+            [r for row in matrix.entries for r in (row, [-e for e in row])]
         )
-        if not outcome.answer:
+        x = _split_lp(stacked, [v for e in rhs.entries for v in (e.hi, -e.lo)])
+        if x is None:
             return Decision(False)
-        parts = outcome.certificate.witness
-        x = tuple(parts[j] - parts[n + j] for j in range(n))
         if not tc_membership(matrix, rhs, x, "tolerance"):
             raise AssertionError("the tolerance witness fails its membership test")
         return Decision(True, Certificate(witness=x))
     if kind == "control":
         # the Oettli-Prager pair with d replaced by -d
+        b_mid, b_rad = rhs.midpoint_radius()
         minus_d = tuple(-d for d in b_rad)
         hit = next(
-            feasible_orthants(n, oettli_prager_rows(center, radius, b_mid, minus_d)),
+            feasible_orthants(
+                SignVector.all(matrix.n),
+                oettli_prager_rows(*matrix.midpoint_radius(), b_mid, minus_d),
+            ),
             None,
         )
         if hit is None:

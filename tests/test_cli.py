@@ -296,6 +296,10 @@ class TestExitCodes:
              "--class", "mmatrix"),
             ("oracle", "sample", "identity.imx", "rhs.imx", "--seed", "1",
              "--count", "0"),
+            ("member", "identity.imx", "rhs.imx", "--x", "x.imx", "--kind",
+             "parametric", "--terms", "0", "--pbox", "rhs.imx"),
+            ("member", "identity.imx", "rhs.imx", "--x", "x.imx", "--kind",
+             "parametric", "--terms", "-1", "--pbox", "rhs.imx"),
         ],
         ids=[
             "regular-cond-4", "singular-cond-9", "fullrank-cond-0",
@@ -303,6 +307,7 @@ class TestExitCodes:
             "hurwitz-cond-1", "hurwitz-sym-cond-2", "schur-sym-cond-7",
             "gen-negative-radius", "gen-rhs-negative-radius",
             "gen-mmatrix-not-square", "oracle-sample-count-0",
+            "member-terms-0", "member-terms-negative",
         ],
     )
     def test_bad_argument_value_is_1(self, files, argv):

@@ -261,6 +261,12 @@ class TestSpectralRadiusRange:
         with pytest.raises(UnsupportedClass):
             spectral_radius_range(a)
 
+    @pytest.mark.parametrize("tol", [0, -1])
+    def test_tolerance_must_be_positive(self, tol):
+        # the diagonal formula needs no tolerance, yet a bad one is refused
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            spectral_radius_range(IntervalMatrix([[iv(-1, 2)]]), tol)
+
 
 class TestStrongPd:
     def test_sufficient_one(self):
@@ -326,6 +332,13 @@ class TestStrongPd:
                 if strong_pd(s, mode, tol=TOL).is_proven:
                     assert exact
 
+    @pytest.mark.parametrize("mode", ["sufficient-1", "sufficient-2", "vertex-exact"])
+    @pytest.mark.parametrize("tol", [0, -1])
+    def test_tolerance_must_be_positive(self, mode, tol):
+        s = sym(IntervalMatrix.degenerate(RealMatrix([[2, 1], [1, 2]])))
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            strong_pd(s, mode, tol=tol)
+
 
 class TestWeakPd:
     def test_midpoint_member(self):
@@ -354,6 +367,13 @@ class TestWeakPd:
         verdict = weak_pd(s, TOL)
         assert verdict.state in ("proven", "refuted", "unknown")
 
+    @pytest.mark.parametrize("tol", [0, -1])
+    def test_tolerance_must_be_positive(self, tol):
+        # the midpoint is positive definite, so no eigenvalue range is needed
+        s = sym(IntervalMatrix.degenerate(RealMatrix.identity(2)))
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            weak_pd(s, tol)
+
 
 class TestStability:
     def test_hurwitz_sym_diagonal_family(self):
@@ -379,6 +399,14 @@ class TestStability:
             RealMatrix([[-3, 1], [-1, -3]]), RealMatrix.ones(2, 2).scale(F(1, 8))
         )
         assert hurwitz_general(a, TOL).is_proven
+
+    @pytest.mark.parametrize("tol", [0, -1])
+    def test_hurwitz_general_tolerance_must_be_positive(self, tol):
+        a = IntervalMatrix.from_midpoint_radius(
+            RealMatrix([[-3, 1], [-1, -3]]), RealMatrix.ones(2, 2).scale(F(1, 8))
+        )
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            hurwitz_general(a, tol)
 
     def test_schur_diagonal_family(self):
         s = sym(

@@ -827,19 +827,19 @@ class TestOettliPragerRows:
         sweeps = []
         monkeypatch.setattr(
             systems, "feasible_orthants",
-            lambda dim, rows_for: sweeps.append((dim, rows_for)) or iter(()),
+            lambda signs, rows_for: sweeps.append((list(signs), rows_for)) or iter(()),
         )
         systems._strong_solvability(matrix, rhs, nonneg)
-        (dim, rows_for), = sweeps
-        assert dim == n + 1
+        (signs, rows_for), = sweeps
+        assert signs == list(SignVector.all(n + 1))
         center, rad = matrix.midpoint_radius()
         b_mid, b_rad = rhs.midpoint_radius()
         zero = tuple([F(0)] * n)
-        for s in SignVector.all(dim):
+        for s in signs:
             pairs = _oettli_prager_formula(
                 center.transpose(), rad.transpose(), s, zero, zero
             )
-            b_row = tuple(b_mid[i] - b_rad[i] * s[i] for i in range(dim))
+            b_row = tuple(b_mid[i] - b_rad[i] * s[i] for i in range(n + 1))
             expected = (pairs[1::2] if nonneg else pairs) + [
                 Constraint(b_row, LEQ, F(-1))
             ]

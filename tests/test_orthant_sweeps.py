@@ -1,7 +1,8 @@
 """One table over the orthant-sweep deciders at n = 2 and 3.
 
 Each row names a decider, an instance and the answer with the sign vector
-that the sweep reports first (orthants in ``SignVector.all`` order).  Every
+that the sweep reports first (orthants in ``SignVector.all`` order; the
+nonnegative modes sweep the one orthant (1, ..., 1)).  Every
 decider appears with both outcomes; hand-built instances cover the outcomes
 that ``generate`` does not produce.  Certificates are re-checked here with
 plain rational arithmetic, sharing no code with the deciders.
@@ -191,6 +192,10 @@ DECIDERS = {
     "regular": (lambda a, b: is_regular_exact(a), {False: _check_kernel}),
     "fullrank": (lambda a, b: has_full_column_rank_exact(a), {False: _check_kernel}),
     "weak": (lambda a, b: solvability(a, b, "weak"), {True: _check_member_solution}),
+    "nonneg-weak": (
+        lambda a, b: solvability(a, b, "nonneg-weak"),
+        {True: _check_member_solution},
+    ),
     "strong": (
         lambda a, b: solvability(a, b, "strong"),
         {False: lambda a, b, c: _check_farkas(a, b, c, nonneg=False)},
@@ -201,6 +206,10 @@ DECIDERS = {
     ),
     "ineq-weak": (
         lambda a, b: ineq_solvability(a, b, "weak"),
+        {True: _check_ineq_member},
+    ),
+    "ineq-nonneg-weak": (
+        lambda a, b: ineq_solvability(a, b, "nonneg-weak"),
         {True: _check_ineq_member},
     ),
     "control": (lambda a, b: tc_existence(a, b, "control"), {True: _check_control}),
@@ -221,6 +230,10 @@ TABLE = [
     ("weak", "system-3", True, (-1, -1, 1)),
     ("weak", "parallel-2", False, None),
     ("weak", "parallel-3", False, None),
+    ("nonneg-weak", "mmatrix-2", True, (1, 1)),
+    ("nonneg-weak", "mmatrix-3", True, (1, 1, 1)),
+    ("nonneg-weak", "system-2", False, None),
+    ("nonneg-weak", "parallel-3", False, None),
     ("strong", "system-2", True, None),
     ("strong", "system-3", True, None),
     ("strong", "singular-2", False, (1, 1)),
@@ -233,6 +246,10 @@ TABLE = [
     ("ineq-weak", "capped-3", True, (-1, 1, -1)),
     ("ineq-weak", "opposed-2", False, None),
     ("ineq-weak", "opposed-3", False, None),
+    ("ineq-nonneg-weak", "system-2", True, (1, 1)),
+    ("ineq-nonneg-weak", "mmatrix-3", True, (1, 1, 1)),
+    ("ineq-nonneg-weak", "capped-3", False, None),
+    ("ineq-nonneg-weak", "opposed-2", False, None),
     ("control", "singular-2", True, (1, 1)),
     ("control", "singular-3s1", True, (1, 1, 1)),
     ("control", "system-2", False, None),

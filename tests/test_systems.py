@@ -9,14 +9,18 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import grid_sample, run_under_optimize
 from intlinalg import (
+    Constraint,
     Interval,
     IntervalInverse,
     IntervalMatrix,
     IntervalVector,
+    LinearProgram,
     ParametricSystem,
     RealMatrix,
     SolveOptions,
@@ -28,6 +32,7 @@ from intlinalg import (
     inverse_enclosure,
     is_solution,
     is_solution_parametric,
+    lp_feasible,
     lsq_enclosure,
     sample_members,
     solvability,
@@ -54,6 +59,7 @@ from intlinalg.generate import (
     well_conditioned_system,
 )
 from intlinalg.matrices import SignVector
+from intlinalg.oracles import vertex_matvec_hull
 from intlinalg.systems import (
     _preconditioned,
     is_interval_m_matrix,
@@ -655,6 +661,98 @@ class TestToleranceControl:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == "tolerance raised\ncontrol raised\n"
+
+
+def _textbook_lp(rows, nvars):
+    """Feasibility of rows (coeffs, relation, rhs) over variables >= 0."""
+    program = LinearProgram(
+        tuple([F(0)] * nvars),
+        tuple(Constraint(c, rel, b) for c, rel, b in rows),
+        tuple([(F(0), None)] * nvars),
+    )
+    return lp_feasible(program).answer
+
+
+def _textbook_answers(a, b):
+    """The one-LP solvability problems, each written from its formula."""
+    m, n = a.shape
+    lower, upper = a.lower().rows, a.upper().rows
+    b_lo, b_hi = b.lower(), b.upper()
+
+    def split(u, lo):
+        return tuple(u) + tuple(-v for v in lo)
+
+    return {
+        # some member and rhs with A x = b, x >= 0: lower x <= b_hi, upper x >= b_lo
+        "nonneg-weak": _textbook_lp(
+            [(lower[i], "<=", b_hi[i]) for i in range(m)]
+            + [(upper[i], ">=", b_lo[i]) for i in range(m)],
+            n,
+        ),
+        # x = x1 - x2 with every member below b_lo: upper x1 - lower x2 <= b_lo
+        "ineq-strong": _textbook_lp(
+            [(split(upper[i], lower[i]), "<=", b_lo[i]) for i in range(m)], 2 * n
+        ),
+        "ineq-nonneg-weak": _textbook_lp(
+            [(lower[i], "<=", b_hi[i]) for i in range(m)], n
+        ),
+        "ineq-nonneg-strong": _textbook_lp(
+            [(upper[i], "<=", b_lo[i]) for i in range(m)], n
+        ),
+        # every member maps x into [b_lo, b_hi]
+        "tolerance": _textbook_lp(
+            [(split(upper[i], lower[i]), "<=", b_hi[i]) for i in range(m)]
+            + [(split([-v for v in lower[i]], [-v for v in upper[i]]), "<=", -b_lo[i])
+               for i in range(m)],
+            2 * n,
+        ),
+    }
+
+
+# integer intervals [c - r, c + r]; narrow ones make the infeasible answers common
+_INT_INTERVALS = st.builds(
+    lambda c, r: Interval(F(c - r), F(c + r)), st.integers(-3, 3), st.integers(0, 2)
+)
+
+
+class TestOneLpReferee:
+    """The nonnegative weak modes, the strong inequalities and tolerance
+    against LPs written here from the textbook formulas; every witness is
+    checked on the vertex hull of A x, which is the exact range over members."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_answers_and_witnesses(self, data):
+        m = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 3))
+        row = st.lists(_INT_INTERVALS, min_size=n, max_size=n)
+        a = IntervalMatrix(data.draw(st.lists(row, min_size=m, max_size=m)))
+        b = IntervalVector(data.draw(st.lists(_INT_INTERVALS, min_size=m, max_size=m)))
+        decisions = {
+            "nonneg-weak": solvability(a, b, "nonneg-weak"),
+            "ineq-strong": ineq_solvability(a, b, "strong"),
+            "ineq-nonneg-weak": ineq_solvability(a, b, "nonneg-weak"),
+            "ineq-nonneg-strong": ineq_solvability(a, b, "nonneg-strong"),
+            "tolerance": tc_existence(a, b, "tolerance"),
+        }
+        expected = _textbook_answers(a, b)
+        for name, decision in decisions.items():
+            assert decision.answer == expected[name], name
+            if not decision.answer:
+                continue
+            x = decision.certificate.witness
+            hull = vertex_matvec_hull(a, x)
+            if name != "ineq-strong" and name != "tolerance":
+                assert all(v >= 0 for v in x), name
+            for h, e in zip(hull.entries, b.entries):
+                if name == "nonneg-weak":
+                    assert h.lo <= e.hi and e.lo <= h.hi
+                elif name == "ineq-nonneg-weak":
+                    assert h.lo <= e.hi
+                elif name == "tolerance":
+                    assert e.lo <= h.lo and h.hi <= e.hi
+                else:
+                    assert h.hi <= e.lo, name
 
 
 class TestParametric:
