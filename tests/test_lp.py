@@ -1,6 +1,7 @@
 """Exact simplex: feasibility witnesses, optima, determinism."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -11,7 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import rationals
+from conftest import interval_matrices, interval_vectors, rationals
 from intlinalg import (
     Constraint,
     Interval,
@@ -782,6 +783,242 @@ class TestPivot:
         assert all(seen.values()), seen
 
 
+# ---------------------------------------------------------------------------
+# the full-tableau Bland simplex, kept as the referee of the simplex in lp
+
+
+def _referee_standard(program):
+    """min c.y s.t. rows (rel) b, y >= 0 for the program's constraints and
+    bounds, as integer rows over one common scale, and the map back to x."""
+    n = program.nvars
+    bounds = [
+        tuple(None if v is None else F(v) for v in b)
+        for b in (program.bounds or [(None, None)] * n)
+    ]
+    var_map, n_std, caps, crossing = [], 0, [], False
+    for lo, hi in bounds:
+        crossing |= lo is not None and hi is not None and lo > hi
+        if lo is not None:
+            if hi is not None:
+                caps.append((n_std, hi - lo))
+            var_map.append(("lo", n_std, lo))
+            n_std += 1
+        elif hi is not None:
+            var_map.append(("hi", n_std, hi))
+            n_std += 1
+        else:
+            var_map.append(("split", n_std, n_std + 1))
+            n_std += 2
+    cons = [([F(c) for c in con.coeffs], con.relation, F(con.rhs))
+            for con in program.constraints]
+    shifted = [
+        rhs - sum((c * m[2] for c, m in zip(coeffs, var_map) if m[0] != "split"), F(0))
+        for coeffs, _, rhs in cons
+    ]
+    scale = 1
+    for q in [c for coeffs, _, _ in cons for c in coeffs] + shifted + [v for _, v in caps]:
+        scale = scale * q.denominator // math.gcd(scale, q.denominator)
+    rows = []
+    for (coeffs, _, _), rhs in zip(cons, shifted):
+        row = [0] * n_std
+        for coeff, (kind, i, k) in zip(coeffs, var_map):
+            v = int(coeff * scale)
+            row[i] = -v if kind == "hi" else v
+            if kind == "split":
+                row[k] = -v
+        rows.append(row + [int(rhs * scale)])
+    for idx, cap in caps:
+        row = [0] * n_std
+        row[idx] = scale
+        rows.append(row + [int(cap * scale)])
+    rels = [rel for _, rel, _ in cons] + [LEQ] * len(caps)
+    return rows, rels, n_std, var_map, crossing
+
+
+def _referee_simplex(tableau, obj, basis, d):
+    """Bland's rule on the full integer tableau; obj holds d times the reduced
+    costs and minus the value."""
+    rows = tableau + [obj]
+    while True:
+        enter = next((j for j in range(len(obj) - 1) if obj[j] < 0), None)
+        if enter is None:
+            return "optimal", d
+        best = None
+        for r, trow in enumerate(tableau):
+            if trow[enter] <= 0:
+                continue
+            if best is not None:
+                lhs = trow[-1] * tableau[best][enter]
+                rhs = tableau[best][-1] * trow[enter]
+                if lhs > rhs or (lhs == rhs and basis[r] > basis[best]):
+                    continue
+            best = r
+        if best is None:
+            return "unbounded", d
+        d = bareiss_pivot(rows, best, enter, d)
+        basis[best] = enter
+
+
+def _referee_phase1(rows, rels, n):
+    """The full tableau at a feasible basis without artificials, or None."""
+    n_slack = sum(rel != EQ for rel in rels)
+    n_cols = n + n_slack
+    on_slack = [rel != EQ and (rel == LEQ) == (row[-1] >= 0)
+                for row, rel in zip(rows, rels)]
+    n_art = len(rows) - sum(on_slack)
+    tableau, basis, obj = [], [], [0] * (n_cols + n_art + 1)
+    slack_at, art_at = n, n_cols
+    for row, rel, own in zip(rows, rels, on_slack):
+        row = row[:n] + [0] * (n_slack + n_art) + row[n:]
+        if rel != EQ:
+            row[slack_at] = 1 if rel == LEQ else -1
+            slack_at += 1
+        if row[-1] < 0:
+            row = [-v for v in row]
+        basis.append(slack_at - 1 if own else art_at)
+        if not own:
+            obj = [o - v for o, v in zip(obj, row)]
+            row[art_at] = 1
+            art_at += 1
+        tableau.append(row)
+    status, d = _referee_simplex(tableau, obj, basis, 1)
+    assert status == "optimal"
+    if obj[-1] != 0:
+        return None
+    keep = []
+    for r in range(len(tableau)):
+        if basis[r] >= n_cols:
+            col = next((j for j in range(n_cols) if tableau[r][j]), None)
+            if col is None:
+                continue
+            d = bareiss_pivot(tableau, r, col, d)
+            basis[r] = col
+        keep.append(r)
+    return ([tableau[r][:n_cols] + tableau[r][-1:] for r in keep],
+            [basis[r] for r in keep], d, n_cols)
+
+
+def _referee_recover(var_map, y):
+    return tuple(
+        y[i] - y[k] if kind == "split" else k + y[i] if kind == "lo" else k - y[i]
+        for kind, i, k in var_map
+    )
+
+
+def _referee(program):
+    """(status, value, x) of the optimum and the feasibility witness, by the
+    two-phase full-tableau simplex, phase 2 also for the witness."""
+    rows, rels, n_std, var_map, crossing = _referee_standard(program)
+    phase1 = None if crossing else _referee_phase1(rows, rels, n_std)
+    if phase1 is None:
+        return "infeasible", None, None, None
+    tableau, basis, d, n_cols = phase1
+
+    def phase2(objective):
+        cost, shift = [F(0)] * n_std, F(0)
+        for coeff, (kind, i, k) in zip(map(F, objective), var_map):
+            cost[i] = coeff if kind == "hi" else -coeff
+            if kind == "split":
+                cost[k] = coeff
+            else:
+                shift += coeff * k
+        scale = 1
+        for q in cost:
+            scale = scale * q.denominator // math.gcd(scale, q.denominator)
+        c = [int(v * scale) for v in cost] + [0] * (n_cols + 1 - n_std)
+        t, b = [list(row) for row in tableau], list(basis)
+        obj = [v * d for v in c]
+        for r, col in enumerate(b):
+            obj = [o - c[col] * v for o, v in zip(obj, t[r])]
+        status, dd = _referee_simplex(t, obj, b, d)
+        if status != "optimal":
+            return status, None, None
+        y = [F(0)] * n_std
+        for r, col in enumerate(b):
+            if col < n_std:
+                y[col] = F(t[r][-1], dd)
+        return status, -F(-obj[-1], dd * scale) + shift, _referee_recover(var_map, y)
+
+    status, value, x = phase2(program.objective)
+    return status, value, x, phase2([0] * program.nvars)[2]
+
+
+def _solved(program):
+    sol = lp_optimize(program)
+    feasible = lp_feasible(program)
+    return (sol.status, sol.value, sol.x,
+            feasible.certificate.witness if feasible.answer else None)
+
+
+class TestFullTableauReferee:
+    """lp_optimize and lp_feasible against the full-tableau simplex: the same
+    status, value, optimal point and witness."""
+
+    def test_fuzz_corpus_matches_referee(self):
+        for k, program in enumerate(_fuzz_programs()):
+            assert _solved(program) == _referee(program), f"program {k}"
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_programs_match_referee(self, data):
+        program = data.draw(_programs())
+        assert _solved(program) == _referee(program)
+
+
+def _rational_exchange(rows, row, col):
+    """Exchange on a tableau of nonbasic columns and the right-hand side: the
+    entering column's place takes the leaving column, whose entries are
+    1 / p in the pivot row and -a / p elsewhere."""
+    p = rows[row][col]
+    out = []
+    for r, t in enumerate(rows):
+        if r == row:
+            new = [v / p for v in t]
+            new[col] = 1 / p
+        else:
+            new = [v - t[col] * w / p for v, w in zip(t, rows[row])]
+            new[col] = -t[col] / p
+        out.append(new)
+    return out
+
+
+class TestCondensedExchange:
+    """The full integer tableau restricted to its nonbasic columns, with the
+    leaving column in the entering column's place, is d times the rational
+    exchange."""
+
+    def test_restricted_full_tableau_matches_rational_exchange(self):
+        rng = random.Random(67)
+        seen = {"zero in the pivot column": 0, "p < 0": 0}
+        for _ in range(150):
+            m, k = rng.randint(2, 5), rng.randint(2, 5)
+            # [A | I | b] starts on the identity basis with d = 1
+            full = [
+                [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(k)]
+                + [int(r == i) for i in range(m)]
+                + [rng.randint(-9, 9)]
+                for r in range(m)
+            ]
+            nonbasic, basis, d = list(range(k)), [k + r for r in range(m)], 1
+            rational = [[F(t[j]) for j in nonbasic] + [F(t[-1])] for t in full]
+            for _ in range(5):
+                choices = [(r, c) for r in range(m) for c in range(k)
+                           if full[r][nonbasic[c]]]
+                if not choices:
+                    break
+                r, c = rng.choice(choices)
+                p = full[r][nonbasic[c]]
+                seen["p < 0"] += p < 0
+                seen["zero in the pivot column"] += any(
+                    not t[nonbasic[c]] for t in full)
+                rational = _rational_exchange(rational, r, c)
+                d = bareiss_pivot(full, r, nonbasic[c], d)
+                basis[r], nonbasic[c] = nonbasic[c], basis[r]
+                restricted = [[t[j] for j in nonbasic] + [t[-1]] for t in full]
+                assert [[F(v, d) for v in t] for t in restricted] == rational
+        assert all(seen.values()), seen
+
+
 def _oettli_prager_formula(center, radius, s, b_mid, b_rad):
     """(C - R D_s) x <= b_c + d and (-C - R D_s) x <= -b_c + d, row by row."""
     m, n = center.shape
@@ -817,6 +1054,22 @@ class TestOettliPragerRows:
         for s in SignVector.all(n):
             assert with_rhs(s) == _oettli_prager_formula(center, rad, s, b_mid, b_rad)
             assert without(s) == _oettli_prager_formula(center, rad, s, zero, zero)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_systems_match_formula(self, data):
+        """m, n <= 4, with a zero right-hand side, a box, and control's -d."""
+        m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        matrix = data.draw(interval_matrices(m, n))
+        rhs = data.draw(interval_vectors(m))
+        center, rad = matrix.midpoint_radius()
+        b_mid, b_rad = rhs.midpoint_radius()
+        zero = tuple([F(0)] * m)
+        minus_d = tuple(-v for v in b_rad)
+        for b_c, d in ((zero, zero), (b_mid, b_rad), (b_mid, minus_d)):
+            rows_for = lp.oettli_prager_rows(center, rad, b_c, d)
+            for s in SignVector.all(n):
+                assert rows_for(s) == _oettli_prager_formula(center, rad, s, b_c, d)
 
     @pytest.mark.parametrize("nonneg", [False, True], ids=["strong", "nonneg-strong"])
     @pytest.mark.parametrize("n", [2, 3])
