@@ -3,36 +3,43 @@
 Two-phase primal simplex with Bland's anti-cycling rule: terminating,
 deterministic, and bit-exact.  The tableau holds Python ints over one common
 positive denominator, and each pivot divides exactly (integer-preserving
-pivoting: Edmonds 1967, Bareiss 1968), so no Fraction enters a pivot; the
-pivot is ``matrices.bareiss_pivot``, which the point linear algebra shares.
-The standard form is written in integer rows directly, scaled once by a common
-multiple of the denominators.  Phase 1 starts on the slack basis, with
-artificial columns only on rows that need one, such as e^T D_s x >= 1.  It
-reads only the constraints and bounds, so the last program's phase-1 end
-state is kept, without the artificial columns that phase 2 never enters:
-further objectives over an equal program, such as the 2n of ``hull_exact``
-over each feasible orthant, start at phase 2.
+pivoting: Edmonds 1967, Bareiss 1968), so no Fraction enters a pivot.  The
+tableau is condensed, as in lrs (Avis 2000): it keeps only the nonbasic
+columns and the right-hand side, and ``_exchange`` runs
+``matrices.bareiss_pivot`` and puts the leaving column in the entering
+column's place.  Its entries are those of the full integer tableau on the
+same columns, so Bland's rule takes the same pivots.  Constraints keep int
+coefficients as ints; the standard form, written in integer rows scaled
+once by a common multiple of the denominators, is built on first use and
+kept on the program.  Phase 1 starts on the slack basis, with artificial
+columns only on rows that need one, such as e^T D_s x >= 1.
+``lp_feasible`` reads its witness from the phase-1 basis and checks it
+against the program's rows in integers; ``LinearProgram.with_objective``
+shares the standard form, so the 2n objectives of ``hull_exact`` over each
+feasible orthant start at phase 2.
 
 Every solvability LP in the package takes one of two shapes.  The orthant
 sweep, ``feasible_orthants``, solves one feasibility LP per sign orthant it
-is given, with the signs passed as variable bounds; ``oettli_prager_rows``,
+is given, with the signs passed as variable bounds; ``endpoint_rows``,
 built once per sweep, gives each orthant the row pairs of the Oettli-Prager
-inequality |C x - b_c| <= R |x| + d.  A nonnegative weak mode sweeps the one
-orthant x >= 0.  The split LP, in ``systems``, writes x = x1 - x2 with
-x1, x2 >= 0 for problems that hold for every member at once: strong
-inequalities and tolerance solutions.  ``oettli_prager_member`` inverts the
-Oettli-Prager rows: from a witness it builds the member system that the
-witness solves, and checks it.
+inequality |C x - b_c| <= R |x| + d, picked from the interval endpoints and
+scaled to integers.  A nonnegative weak mode sweeps the one orthant x >= 0.
+The split LP, in ``systems``, writes x = x1 - x2 with x1, x2 >= 0 for
+problems that hold for every member at once: strong inequalities and
+tolerance solutions.  ``oettli_prager_member`` inverts the Oettli-Prager
+rows: from a witness it builds the member system that the witness solves,
+and checks it.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .core import Certificate, Decision, as_vector, rational
+from .core import Certificate, Decision, rational
 from .errors import MalformedProgram
 from .matrices import (
     IntervalMatrix,
@@ -41,9 +48,6 @@ from .matrices import (
     SignVector,
     Vector,
     bareiss_pivot,
-    vec_abs,
-    vec_add,
-    vec_sub,
 )
 
 LEQ = "<="
@@ -55,6 +59,25 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
+_EXACT = frozenset((int, Fraction))
+
+
+def _number(value):
+    """An exact number: an int or a Fraction as it is, anything else through
+    ``core.rational``."""
+    return value if type(value) in _EXACT else rational(value)
+
+
+def _numbers(values: Iterable) -> tuple:
+    values = tuple(values)
+    return values if _EXACT.issuperset(map(type, values)) else tuple(map(_number, values))
+
+
+def _scaled(q, scale: int) -> int:
+    """q times scale, for a scale that q's denominator divides."""
+    return q.numerator * (scale // q.denominator)
+
+
 @dataclass(frozen=True)
 class Constraint:
     coeffs: Tuple[Fraction, ...]
@@ -64,16 +87,17 @@ class Constraint:
     def __post_init__(self):
         if self.relation not in (LEQ, EQ, GEQ):
             raise MalformedProgram(f"bad relation {self.relation!r}")
-        object.__setattr__(self, "coeffs", as_vector(self.coeffs))
-        object.__setattr__(self, "rhs", rational(self.rhs))
+        object.__setattr__(self, "coeffs", _numbers(self.coeffs))
+        object.__setattr__(self, "rhs", _number(self.rhs))
 
-    def satisfied_by(self, x: Sequence[Fraction]) -> bool:
-        lhs = sum((c * v for c, v in zip(self.coeffs, x)), Fraction(0))
+    def satisfied_by(self, x: Sequence, d: int = 1) -> bool:
+        """Does x / d satisfy the row?  In ints when x and the row are ints."""
+        lhs = sum(c * v for c, v in zip(self.coeffs, x))
         if self.relation == LEQ:
-            return lhs <= self.rhs
+            return lhs <= self.rhs * d
         if self.relation == GEQ:
-            return lhs >= self.rhs
-        return lhs == self.rhs
+            return lhs >= self.rhs * d
+        return lhs == self.rhs * d
 
 
 @dataclass(frozen=True)
@@ -81,7 +105,8 @@ class LinearProgram:
     """maximize objective . x subject to the constraints and optional bounds.
 
     bounds[j] = (lo, hi) with None meaning unbounded on that side; variables
-    default to free.
+    default to free.  The standard form and its phase 1 are built on first
+    use and kept on the program.
     """
 
     objective: Tuple[Fraction, ...]
@@ -89,7 +114,7 @@ class LinearProgram:
     bounds: Optional[Tuple[Tuple[Optional[Fraction], Optional[Fraction]], ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", as_vector(self.objective))
+        object.__setattr__(self, "objective", _numbers(self.objective))
         object.__setattr__(self, "constraints", tuple(self.constraints))
         n = len(self.objective)
         for c in self.constraints:
@@ -100,28 +125,44 @@ class LinearProgram:
         if self.bounds is not None:
             if len(self.bounds) != n:
                 raise MalformedProgram("bounds length != variable count")
-            clean = []
-            for lo, hi in self.bounds:
-                lo_q = None if lo is None else rational(lo)
-                hi_q = None if hi is None else rational(hi)
-                clean.append((lo_q, hi_q))
-            object.__setattr__(self, "bounds", tuple(clean))
+            object.__setattr__(self, "bounds", tuple(
+                (None if lo is None else _number(lo), None if hi is None else _number(hi))
+                for lo, hi in self.bounds
+            ))
 
     @property
     def nvars(self) -> int:
         return len(self.objective)
 
-    def feasible_point(self, x: Sequence[Fraction]) -> bool:
-        xs = as_vector(x)
+    def with_objective(self, objective: Sequence) -> "LinearProgram":
+        """The same constraints and bounds under another objective; the two
+        programs share one standard form, so phase 1 runs once."""
+        objective = _numbers(objective)
+        if len(objective) != self.nvars:
+            raise MalformedProgram(f"objective arity {len(objective)} != {self.nvars}")
+        program = copy.copy(self)
+        object.__setattr__(program, "objective", objective)
+        return program
+
+    def standard_form(self) -> "_Standardized":
+        std = self.__dict__.get("_standard")
+        if std is None:
+            std = _Standardized(self)
+            object.__setattr__(self, "_standard", std)
+        return std
+
+    def feasible_point(self, x: Sequence, d: int = 1) -> bool:
+        """Does x / d satisfy the bounds and the rows?"""
+        xs = _numbers(x)
         if len(xs) != self.nvars:
             return False
         if self.bounds is not None:
             for v, (lo, hi) in zip(xs, self.bounds):
-                if lo is not None and v < lo:
+                if lo is not None and v < lo * d:
                     return False
-                if hi is not None and v > hi:
+                if hi is not None and v > hi * d:
                     return False
-        return all(c.satisfied_by(xs) for c in self.constraints)
+        return all(c.satisfied_by(xs, d) for c in self.constraints)
 
 
 @dataclass(frozen=True)
@@ -135,104 +176,100 @@ class _Standardized:
     """min c.y  s.t.  A y (rel) b, y >= 0, plus the recovery map back to x and
     ``phase1``, the end state of ``_phase1`` (None when infeasible).
 
-    The rows [A | b] are written in integers: one common multiple of the
-    denominators of the coefficients, the shifted right-hand sides and the
-    caps scales them all, so no Fraction row is built.  The scale is common,
-    not per row as in ``matrices.integer_rows``, because the +-1 slack and
-    artificial columns added later must scale like the rest (see ``_phase1``).
+    Standard variable i is sign * (x_j - offset_j) for its ``columns[i]`` =
+    (j, sign): x_j - lo, hi - x_j, or one half of x_j = y+ - y- when x_j is
+    free.  The rows [A | b] are written in integers: one common multiple of
+    the denominators of the coefficients, the shifted right-hand sides and
+    the caps hi - lo scales them all, so no Fraction row is built.  The
+    scale is common, not per row as in ``matrices.integer_rows``, because
+    the +-1 slack and artificial columns added later must scale like the
+    rest (see ``_phase1``).
     """
 
     def __init__(self, program: LinearProgram):
-        n = program.nvars
-        bounds = program.bounds or tuple([(None, None)] * n)
-        # var_map[j]: ("split", i_pos, i_neg) | ("lo", i, lo) | ("hi", i, hi)
-        self.var_map = []
-        self.n_std = 0
-        trivially_infeasible = False
-        upper_caps: List[Tuple[int, Fraction]] = []  # (std index, cap)
-        for lo, hi in bounds:
-            if lo is not None and hi is not None and lo > hi:
-                trivially_infeasible = True
+        self.columns: List[Tuple[int, int]] = []
+        self.offsets = []
+        caps = []  # (standard index, hi - lo)
+        crossing = False
+        for j, (lo, hi) in enumerate(program.bounds or ((None, None),) * program.nvars):
+            crossing |= lo is not None and hi is not None and lo > hi
             if lo is not None:
                 if hi is not None:
-                    upper_caps.append((self.n_std, hi - lo))
-                self.var_map.append(("lo", self.n_std, lo))
-                self.n_std += 1
+                    caps.append((len(self.columns), hi - lo))
+                self.columns.append((j, 1))
+                self.offsets.append(lo)
             elif hi is not None:
-                self.var_map.append(("hi", self.n_std, hi))
-                self.n_std += 1
+                self.columns.append((j, -1))
+                self.offsets.append(hi)
             else:
-                self.var_map.append(("split", self.n_std, self.n_std + 1))
-                self.n_std += 2
-
-        # x_j = lo + y or hi - y moves lo or hi to the right-hand side
-        offsets = [(j, m[2]) for j, m in enumerate(self.var_map)
-                   if m[0] != "split" and m[2]]
-        shifted = [con.rhs - sum(con.coeffs[j] * v for j, v in offsets)
-                   if offsets else con.rhs for con in program.constraints]
+                self.columns += [(j, 1), (j, -1)]
+                self.offsets.append(0)
+        self.n_std = len(self.columns)
+        shifted = [con.rhs - sum(c * v for c, v in zip(con.coeffs, self.offsets))
+                   if any(self.offsets) else con.rhs for con in program.constraints]
         scale = math.lcm(
             *(c.denominator for con in program.constraints for c in con.coeffs),
             *(v.denominator for v in shifted),
-            *(cap.denominator for _, cap in upper_caps),
+            *(cap.denominator for _, cap in caps),
         )
         rows: List[List[int]] = []
         for con, rhs in zip(program.constraints, shifted):
-            row = [0] * self.n_std
-            for coeff, (kind, i, k) in zip(con.coeffs, self.var_map):
-                if coeff:
-                    v = coeff.numerator * (scale // coeff.denominator)
-                    row[i] = -v if kind == "hi" else v
-                    if kind == "split":
-                        row[k] = -v
-            row.append(rhs.numerator * (scale // rhs.denominator))
+            vals = [c.numerator * (scale // c.denominator) for c in con.coeffs]
+            rows.append([sign * vals[j] for j, sign in self.columns] + [_scaled(rhs, scale)])
+        for i, cap in caps:
+            row = [0] * (self.n_std + 1)
+            row[i], row[-1] = scale, _scaled(cap, scale)
             rows.append(row)
-        for idx, cap in upper_caps:
-            row = [0] * self.n_std
-            row[idx] = scale
-            row.append(cap.numerator * (scale // cap.denominator))
-            rows.append(row)
-        rels = [con.relation for con in program.constraints] + [LEQ] * len(upper_caps)
-        self.phase1 = (None if trivially_infeasible
-                       else _phase1(rows, rels, self.n_std))
+        rels = [con.relation for con in program.constraints] + [LEQ] * len(caps)
+        self.phase1 = None if crossing else _phase1(rows, rels, self.n_std)
 
-    def cost(self, objective: Sequence[Fraction]) -> Tuple[List[Fraction], Fraction]:
+    def cost(self, objective: Sequence) -> Tuple[list, Fraction]:
         """The cost that minimizes -objective . x, and its constant part."""
-        cost = [Fraction(0)] * self.n_std
-        shift = Fraction(0)
-        for coeff, (kind, i, k) in zip(objective, self.var_map):
-            if coeff:
-                cost[i] = coeff if kind == "hi" else -coeff
-                if kind == "split":
-                    cost[k] = coeff
-                else:
-                    shift += coeff * k
-        return cost, shift
+        cost = [-sign * objective[j] for j, sign in self.columns]
+        return cost, sum(c * v for c, v in zip(objective, self.offsets))
 
-    def recover(self, y: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-        out = []
-        for mapping in self.var_map:
-            if mapping[0] == "split":
-                out.append(y[mapping[1]] - y[mapping[2]])
-            elif mapping[0] == "lo":
-                out.append(mapping[2] + y[mapping[1]])
-            else:
-                out.append(mapping[2] - y[mapping[1]])
-        return tuple(out)
+    def recover(self, y: Sequence, d: int = 1) -> Tuple:
+        """d x from d y."""
+        x = [v * d for v in self.offsets]
+        for (j, sign), v in zip(self.columns, y):
+            x[j] += sign * v
+        return tuple(x)
+
+
+def _exchange(rows: List[List[int]], row: int, col: int, d: int) -> int:
+    """Pivot a condensed tableau with denominator d on (row, col), and return
+    the new denominator.
+
+    ``bareiss_pivot`` updates every column but col.  Col then takes the
+    leaving column, whose full-tableau entries were d in the pivot row and 0
+    elsewhere: they become d and minus the old entries of col, all negated
+    when the pivot is negative, as ``bareiss_pivot`` negates the rest.
+    """
+    sign = 1 if rows[row][col] > 0 else -1
+    column = [trow[col] for trow in rows]
+    new_d = bareiss_pivot(rows, row, col, d)
+    for trow, f in zip(rows, column):
+        trow[col] = -sign * f
+    rows[row][col] = sign * d
+    return new_d
 
 
 def _simplex_min(
-    tableau: List[List[int]],
-    obj: List[int],
-    basis: List[int],
-    d: int,
+    rows: List[List[int]], cols: List[int], basis: List[int], d: int
 ) -> Tuple[str, int]:
-    """Bland-rule simplex on a full integer tableau with denominator d; obj
-    holds d times the reduced costs and minus the value.  Returns the status
-    and the final denominator."""
-    ncols = len(obj) - 1
-    rows = tableau + [obj]
+    """Bland-rule simplex on a condensed integer tableau with denominator d.
+
+    Each row holds d times the rational tableau on the nonbasic columns,
+    whose indices are ``cols`` by place, and then the right-hand side; the
+    last row is the objective, d times the reduced costs and minus the
+    value.  Returns the status and the final denominator.
+    """
+    tableau, obj = rows[:-1], rows[-1]
     while True:
-        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        enter = None
+        for k, j in enumerate(cols):
+            if obj[k] < 0 and (enter is None or j < cols[enter]):
+                enter = k
         if enter is None:
             return OPTIMAL, d
         best = None
@@ -250,50 +287,51 @@ def _simplex_min(
                 best = r
         if best is None:
             return UNBOUNDED, d
-        d = bareiss_pivot(rows, best, enter, d)
-        basis[best] = enter
+        d = _exchange(rows, best, enter, d)
+        basis[best], cols[enter] = cols[enter], basis[best]
 
 
 def _phase1(
     rows: List[List[int]], rels: List[str], n: int
-) -> Optional[Tuple[List[List[int]], List[int], int, int]]:
+) -> Optional[Tuple[List[List[int]], List[int], int, List[int]]]:
     """Phase 1 for integer rows [a | b] meaning a.y (rel) b, y >= 0.
 
-    Returns (tableau, basis, d, n_cols) at a feasible basis with no
-    artificial in it, or None if infeasible; each tableau row holds the n_cols
-    variables and slacks and then the right-hand side.  Each row is negated
-    to b >= 0 and starts on its slack if that enters at +1, else on an
-    artificial column.  Slack and artificial columns enter at +-1; with rows
-    scaled by one common multiple of their denominators, that scales each
-    column uniformly, so Bland's rule takes the pivots of the rational
-    tableau.  Phase 2 never enters an artificial, so the artificial columns
-    are dropped from the end state.
+    Returns (tableau, basis, d, cols) at a feasible basis with no artificial
+    in it, or None if infeasible: the condensed tableau over the nonbasic
+    columns ``cols``, which index the n variables and then one slack per
+    inequality.  Each row is negated to b >= 0 and starts on its slack if
+    that enters at +1, else on an artificial column, indexed after the
+    slacks.  Slack and artificial columns enter at +-1; with rows scaled by
+    one common multiple of their denominators, that scales each column
+    uniformly, so Bland's rule takes the pivots of the rational tableau.
+    Phase 2 never enters an artificial, so the artificial columns are
+    dropped from the end state.
     """
-    n_slack = sum(1 for rel in rels if rel != EQ)
-    n_cols = n + n_slack
-    on_slack = [rel != EQ and (rel == LEQ) == (row[-1] >= 0)
-                for row, rel in zip(rows, rels)]
-    n_art = len(rows) - sum(on_slack)
-    tableau: List[List[int]] = []
-    basis: List[int] = []
-    # minimize the sum of the artificials: the reduced costs are minus the
-    # column sums over their rows, taken before the artificials are set
-    obj = [0] * (n_cols + n_art + 1)
+    n_cols = n + sum(rel != EQ for rel in rels)
+    flipped, basis, free = [], [], []  # free: (row, its nonbasic slack)
     slack_at, art_at = n, n_cols
-    for row, rel, own in zip(rows, rels, on_slack):
-        row[n:n] = [0] * (n_slack + n_art)
-        if rel != EQ:
-            row[slack_at] = 1 if rel == LEQ else -1
-            slack_at += 1
-        if row[-1] < 0:
-            row = [-v for v in row]
-        basis.append(slack_at - 1 if own else art_at)
-        if not own:
-            obj = [o - v for o, v in zip(obj, row)]
-            row[art_at] = 1
+    for r, (row, rel) in enumerate(zip(rows, rels)):
+        flip = row[-1] < 0
+        flipped.append([-v for v in row] if flip else row)
+        if rel != EQ and (rel == LEQ) != flip:
+            basis.append(slack_at)
+        else:
+            if rel != EQ:
+                free.append((r, slack_at))
+            basis.append(art_at)
             art_at += 1
-        tableau.append(row)
-    status, d = _simplex_min(tableau, obj, basis, 1)
+        slack_at += rel != EQ
+    # a nonbasic slack enters its row at -1
+    tableau = [row[:n] + [-(r == q) for q, _ in free] + row[n:]
+               for r, row in enumerate(flipped)]
+    cols = list(range(n)) + [slack for _, slack in free]
+    # minimize the sum of the artificials: the reduced costs are minus the
+    # column sums over their rows
+    obj = [0] * (len(cols) + 1)
+    for trow, b in zip(tableau, basis):
+        if b >= n_cols:
+            obj = [o - v for o, v in zip(obj, trow)]
+    status, d = _simplex_min(tableau + [obj], cols, basis, 1)
     if status != OPTIMAL:
         raise AssertionError("phase 1 is bounded below by 0 but read unbounded")
     if obj[-1] != 0:
@@ -301,103 +339,105 @@ def _phase1(
 
     # drive remaining artificials out of the basis; drop the rows they cannot leave
     keep = []
-    for r in range(len(tableau)):
+    for r, trow in enumerate(tableau):
         if basis[r] >= n_cols:
-            col = next((j for j in range(n_cols) if tableau[r][j] != 0), None)
-            if col is None:
+            places = [k for k, j in enumerate(cols) if j < n_cols and trow[k]]
+            if not places:
                 continue
-            d = bareiss_pivot(tableau, r, col, d)
-            basis[r] = col
+            k = min(places, key=cols.__getitem__)
+            d = _exchange(tableau, r, k, d)
+            basis[r], cols[k] = cols[k], basis[r]
         keep.append(r)
-    return ([tableau[r][:n_cols] + tableau[r][-1:] for r in keep],
-            [basis[r] for r in keep], d, n_cols)
+    real = [k for k, j in enumerate(cols) if j < n_cols]
+    return ([[tableau[r][k] for k in real] + tableau[r][-1:] for r in keep],
+            [basis[r] for r in keep], d, [cols[k] for k in real])
+
+
+def _basic(tableau: List[List[int]], basis: List[int], n: int) -> List[int]:
+    """d times the first n variables of the basic solution."""
+    y = [0] * n
+    for trow, b in zip(tableau, basis):
+        if b < n:
+            y[b] = trow[-1]
+    return y
 
 
 def _phase2(
-    phase1: Tuple[List[List[int]], List[int], int, int], cost: List[Fraction]
-) -> LpSolution:
-    """min cost.y from the end state of ``_phase1``, which it leaves unchanged."""
-    tableau, basis, d, n_cols = phase1
+    phase1: Tuple[List[List[int]], List[int], int, List[int]], cost: list
+) -> Tuple[str, Optional[Fraction], Optional[List[int]], int]:
+    """min cost.y from the end state of ``_phase1``, which it leaves unchanged:
+    the status, the minimum, d times y and d."""
+    tableau, basis, d, cols = phase1
     tableau = [list(row) for row in tableau]
-    basis = list(basis)
+    basis, cols = list(basis), list(cols)
     k = math.lcm(*(c.denominator for c in cost))
-    c = [v.numerator * (k // v.denominator) for v in cost]
-    c += [0] * (n_cols + 1 - len(cost))
-    obj = [v * d for v in c]
-    for r, b in enumerate(basis):
+    c = [_scaled(v, k) for v in cost]
+    c += [0] * (len(cols) + len(basis) - len(c))
+    obj = [c[j] * d for j in cols] + [0]
+    for trow, b in zip(tableau, basis):
         if c[b]:
-            obj = [o - c[b] * t for o, t in zip(obj, tableau[r])]
-    status, d = _simplex_min(tableau, obj, basis, d)
+            obj = [o - c[b] * t for o, t in zip(obj, trow)]
+    status, d = _simplex_min(tableau + [obj], cols, basis, d)
     if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED)
-    y = [Fraction(0)] * len(cost)
-    for r, b in enumerate(basis):
-        if b < len(cost):
-            y[b] = Fraction(tableau[r][-1], d)
-    return LpSolution(OPTIMAL, value=Fraction(-obj[-1], d * k), x=tuple(y))
-
-
-# The last standard form, kept for its phase-1 end state: hull_exact optimizes
-# 2n objectives over each program that feasible_orthants has just found
-# feasible, and phase 1 reads only the constraints and bounds.
-_last_standardized: Optional[Tuple[tuple, _Standardized]] = None
-
-
-def _standardize(program: LinearProgram) -> _Standardized:
-    """The program's standard form, reused when the last one is equal."""
-    global _last_standardized
-    key = (program.nvars, program.constraints, program.bounds)
-    last = _last_standardized
-    if last is None or last[0] != key:
-        last = _last_standardized = (key, _Standardized(program))
-    return last[1]
+        return UNBOUNDED, None, None, d
+    return OPTIMAL, Fraction(-obj[-1], d * k), _basic(tableau, basis, len(cost)), d
 
 
 def lp_optimize(program: LinearProgram) -> LpSolution:
     """Exact optimum of a maximization program (or infeasible/unbounded)."""
-    std = _standardize(program)
+    std = program.standard_form()
     if std.phase1 is None:
         return LpSolution(INFEASIBLE)
     cost, shift = std.cost(program.objective)
-    sol = _phase2(std.phase1, cost)
-    if sol.status != OPTIMAL:
-        return sol
-    return LpSolution(OPTIMAL, value=-sol.value + shift, x=std.recover(sol.x))
+    status, value, y, d = _phase2(std.phase1, cost)
+    if status != OPTIMAL:
+        return LpSolution(status)
+    x = tuple(Fraction(v, d) for v in std.recover(y, d))
+    return LpSolution(OPTIMAL, value=shift - value, x=x)
 
 
 def lp_feasible(program: LinearProgram) -> Decision:
-    """Feasibility with an exact witness on success."""
-    std = _standardize(program)
+    """Feasibility with an exact witness on success: the basic solution that
+    phase 1 ends on, checked against the program in integers."""
+    std = program.standard_form()
     if std.phase1 is None:
         return Decision(False)
-    sol = _phase2(std.phase1, [Fraction(0)] * std.n_std)
-    x = std.recover(sol.x)
-    if not program.feasible_point(x):
+    tableau, basis, d, _ = std.phase1
+    x = std.recover(_basic(tableau, basis, std.n_std), d)
+    if not program.feasible_point(x, d):
         raise AssertionError("the simplex returned a point outside the program")
-    return Decision(True, Certificate(witness=x))
+    return Decision(True, Certificate(witness=tuple(Fraction(v, d) for v in x)))
 
 
-def oettli_prager_rows(
-    center: RealMatrix,
-    radius: RealMatrix,
-    b_mid: Optional[Sequence[Fraction]] = None,
-    b_rad: Optional[Sequence[Fraction]] = None,
-) -> Callable[[SignVector], List[Constraint]]:
-    """|C x - b_c| <= R |x| + d on each orthant, as two rows per row of C.
+def endpoint_rows(
+    matrix: IntervalMatrix,
+    b_lo: Optional[Sequence[Fraction]] = None,
+    b_hi: Optional[Sequence[Fraction]] = None,
+    also: Iterable[Fraction] = (),
+) -> Tuple[int, Callable[[SignVector], List[Constraint]]]:
+    """|C x - b_c| <= R |x| + d on each orthant, as two integer rows per row
+    of the matrix.
 
-    Returns rows_for(s).  With |x| = D_s x the pair is (C - R D_s) x <= b_c + d
-    followed by (-C - R D_s) x <= -b_c + d; b_c and d default to zero.  Both
-    column pairs, (c - r, -c - r) for s_j = 1 and (c + r, -c + r) for
-    s_j = -1, and both right-hand sides are computed here once, so an orthant
-    only picks entries.
+    Returns (L, rows_for).  With |x| = D_s x the pair is (C - R D_s) x <=
+    b_c + d followed by (-C - R D_s) x <= d - b_c: column j is (lo, -hi)
+    for s_j = 1 and (hi, -lo) for s_j = -1, and the right-hand sides are
+    b_hi and -b_lo, which default to zero.  Every entry is times L, the
+    least common multiple of the denominators of the endpoints and of
+    ``also``, the numbers of a caller's own rows.  The endpoints are read
+    and scaled here once, so an orthant only picks entries.
     """
-    zero = Fraction(0)
+    zeros = (0,) * matrix.m
+    b_lo = zeros if b_lo is None else b_lo
+    b_hi = zeros if b_hi is None else b_hi
+    scale = math.lcm(
+        *(q.denominator for row in matrix.entries for e in row for q in (e.lo, e.hi)),
+        *(q.denominator for q in (*b_lo, *b_hi, *also)),
+    )
     picks = []
-    for i, (c_row, r_row) in enumerate(zip(center.rows, radius.rows)):
-        bc = zero if b_mid is None else b_mid[i]
-        d = zero if b_rad is None else b_rad[i]
-        pairs = [((c - r, -c - r), (c + r, -c + r)) for c, r in zip(c_row, r_row)]
-        picks.append((pairs, bc + d, d - bc))
+    for row, lo_i, hi_i in zip(matrix.entries, b_lo, b_hi):
+        ends = [(_scaled(e.lo, scale), _scaled(e.hi, scale)) for e in row]
+        pairs = [((lo, -hi), (hi, -lo)) for lo, hi in ends]
+        picks.append((pairs, _scaled(hi_i, scale), -_scaled(lo_i, scale)))
 
     def rows_for(s: SignVector) -> List[Constraint]:
         rows = []
@@ -407,7 +447,7 @@ def oettli_prager_rows(
             rows.append(Constraint(tuple(col[1] for col in cols), LEQ, down_rhs))
         return rows
 
-    return rows_for
+    return scale, rows_for
 
 
 def oettli_prager_member(
@@ -420,26 +460,33 @@ def oettli_prager_member(
 
     The converse of Oettli-Prager, row by row: t_i = (C x - b_c)_i /
     (R |x| + d)_i (0 when the divisor is 0), m_i = c_i - t_i (r_i .* s) and
-    b_i = b_c,i + t_i d_i; b_c and d are zero when rhs is None.  A witness
-    that satisfies the rows of ``oettli_prager_rows`` gives |t_i| <= 1; any
-    other raises AssertionError, as does every failed check of the output.
+    b_i = b_c,i + t_i d_i; b_c and d are zero when rhs is None.  With the
+    endpoints times L and x times D in integers, t_i = u_i / w_i for
+    u_i = ((lo + hi) X - (b_lo + b_hi) D)_i and w_i = ((hi - lo) |X| +
+    (b_hi - b_lo) D)_i, so each entry is one Fraction over 2 L w_i.  A
+    witness that satisfies the rows of ``endpoint_rows`` gives |t_i| <= 1;
+    any other raises AssertionError, as does every failed check of the
+    output.
     """
-    m, n = matrix.shape
-    center, radius = matrix.midpoint_radius()
-    if rhs is None:
-        b_mid = b_rad = tuple([Fraction(0)] * m)
-    else:
-        b_mid, b_rad = rhs.midpoint_radius()
-    residual = vec_sub(center.matvec(x), b_mid)
-    slack = vec_add(radius.matvec(vec_abs(x)), b_rad)
+    b_ends = [(0, 0)] * matrix.m if rhs is None else [(e.lo, e.hi) for e in rhs.entries]
+    scale = math.lcm(
+        *(q.denominator for row in matrix.entries for e in row for q in (e.lo, e.hi)),
+        *(q.denominator for ends in b_ends for q in ends),
+    )
+    den = math.lcm(*(v.denominator for v in x))
+    xs = [_scaled(v, den) for v in x]
     rows = []
     b_out = []
-    for i in range(m):
-        t = residual[i] / slack[i] if slack[i] != 0 else Fraction(0)
-        rows.append(
-            [center.rows[i][j] - t * radius.rows[i][j] * s[j] for j in range(n)]
-        )
-        b_out.append(b_mid[i] + t * b_rad[i])
+    for row, (b_lo, b_hi) in zip(matrix.entries, b_ends):
+        ends = [(_scaled(e.lo, scale), _scaled(e.hi, scale)) for e in row]
+        lo_b, hi_b = _scaled(b_lo, scale), _scaled(b_hi, scale)
+        u = sum((lo + hi) * v for (lo, hi), v in zip(ends, xs)) - (lo_b + hi_b) * den
+        w = sum((hi - lo) * abs(v) for (lo, hi), v in zip(ends, xs)) + (hi_b - lo_b) * den
+        if w == 0:
+            u, w = 0, 1
+        rows.append([Fraction((lo + hi) * w - u * (hi - lo) * e, 2 * scale * w)
+                     for (lo, hi), e in zip(ends, s)])
+        b_out.append(Fraction((lo_b + hi_b) * w + u * (hi_b - lo_b), 2 * scale * w))
     member = RealMatrix(rows)
     b = tuple(b_out)
     if not matrix.contains(member):
@@ -460,7 +507,7 @@ def feasible_orthants(
     """
     for s in signs:
         bounds = tuple((0, None) if e > 0 else (None, 0) for e in s)
-        program = LinearProgram(tuple([Fraction(0)] * s.dim), tuple(rows_for(s)), bounds)
+        program = LinearProgram((0,) * s.dim, tuple(rows_for(s)), bounds)
         outcome = lp_feasible(program)
         if outcome.answer:
             yield s, program, outcome.certificate.witness

@@ -519,25 +519,6 @@ class IntervalMatrix:
         center, radius = self.midpoint_radius()
         return center.is_symmetric() and radius.is_symmetric()
 
-    def is_band(self, w: int) -> bool:
-        """True iff every entry with |i - j| >= w is exactly zero."""
-        return all(
-            e.is_degenerate() and e.lo == 0
-            for i, row in enumerate(self.entries)
-            for j, e in enumerate(row)
-            if abs(i - j) >= w
-        )
-
-    def is_sparse(self, d: int) -> bool:
-        """True iff each row holds at most d entries not exactly zero."""
-        for row in self.entries:
-            nonzero = sum(
-                1 for e in row if not (e.is_degenerate() and e.lo == 0)
-            )
-            if nonzero > d:
-                return False
-        return True
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntervalMatrix) and self.entries == other.entries
 

@@ -16,9 +16,9 @@ from .errors import NotSquare, PreconditionViolated, ShapeError, SingularMatrix
 from .lp import (
     GEQ,
     Constraint,
+    endpoint_rows,
     feasible_orthants,
     oettli_prager_member,
-    oettli_prager_rows,
 )
 from .matrices import IntervalMatrix, RealMatrix, SignVector
 from .spectral import (
@@ -39,10 +39,10 @@ def _kernel_decision(matrix: IntervalMatrix) -> Decision:
 
     Per orthant: -R D_s x <= C x <= R D_s x and e^T D_s x >= 1.
     """
-    pairs_for = oettli_prager_rows(*matrix.midpoint_radius())
+    scale, pairs_for = endpoint_rows(matrix)
 
     def rows_for(s: SignVector):
-        nonzero = Constraint(tuple(Fraction(e) for e in s), GEQ, Fraction(1))
+        nonzero = Constraint(tuple(scale * e for e in s), GEQ, scale)
         return pairs_for(s) + [nonzero]
 
     hit = next(feasible_orthants(SignVector.all(matrix.n), rows_for), None)

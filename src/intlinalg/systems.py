@@ -38,11 +38,11 @@ from .lp import (
     LEQ,
     Constraint,
     LinearProgram,
+    endpoint_rows,
     feasible_orthants,
     lp_feasible,
     lp_optimize,
     oettli_prager_member,
-    oettli_prager_rows,
 )
 from .matrices import (
     IntervalMatrix,
@@ -155,24 +155,17 @@ def hull_exact(matrix: IntervalMatrix, rhs: IntervalVector) -> SolveReport:
         raise UnboundedSolutionSet(
             "solution set may be unbounded: no full column rank"
         )
-    center, radius = matrix.midpoint_radius()
-    b_mid, b_rad = rhs.midpoint_radius()
     n = matrix.n
     lo: List[Optional[Fraction]] = [None] * n
     hi: List[Optional[Fraction]] = [None] * n
     any_feasible = False
-    for _, program, _ in feasible_orthants(
-        SignVector.all(n), oettli_prager_rows(center, radius, b_mid, b_rad)
-    ):
+    _, rows_for = endpoint_rows(matrix, rhs.lower(), rhs.upper())
+    for _, program, _ in feasible_orthants(SignVector.all(n), rows_for):
         any_feasible = True
         for j in range(n):
             for direction in (1, -1):
-                obj = tuple(
-                    Fraction(direction) if t == j else Fraction(0) for t in range(n)
-                )
-                sol = lp_optimize(
-                    LinearProgram(obj, program.constraints, program.bounds)
-                )
+                obj = tuple(direction if t == j else 0 for t in range(n))
+                sol = lp_optimize(program.with_objective(obj))
                 if sol.status != "optimal":
                     raise UnboundedSolutionSet(
                         "orthant optimization unbounded despite rank check"
@@ -596,12 +589,8 @@ def solvability(matrix: IntervalMatrix, rhs: IntervalVector, mode: str) -> Decis
         # x >= 0 is the one orthant (1, ..., 1)
         n = matrix.n
         signs = SignVector.all(n) if mode == "weak" else [SignVector.ones(n)]
-        center, radius = matrix.midpoint_radius()
-        b_mid, b_rad = rhs.midpoint_radius()
-        hit = next(
-            feasible_orthants(signs, oettli_prager_rows(center, radius, b_mid, b_rad)),
-            None,
-        )
+        _, rows_for = endpoint_rows(matrix, rhs.lower(), rhs.upper())
+        hit = next(feasible_orthants(signs, rows_for), None)
         if hit is None:
             return Decision(False)
         s, _, x = hit
@@ -626,32 +615,31 @@ def _strong_solvability(
     with A^T p = 0 (A^T p >= 0 in the nonnegative-variable case) while some
     rhs gives b^T p <= -1; both tests linearize per sign orthant of p.
     """
-    center, radius = matrix.midpoint_radius()
-    pairs_for = oettli_prager_rows(center.transpose(), radius.transpose())
     # b_c - D_s d picks b_lo where s_i = 1 and b_hi where s_i = -1
     b_ends = tuple(zip(rhs.lower(), rhs.upper()))
-    m = matrix.m
+    scale, pairs_for = endpoint_rows(
+        matrix.transpose(), also=[v for ends in b_ends for v in ends]
+    )
+    scaled_ends = [(int(lo * scale), int(hi * scale)) for lo, hi in b_ends]
 
     def rows_for(s: SignVector) -> List[Constraint]:
         # (C^T - R^T D_s) p <= 0 and (-C^T - R^T D_s) p <= 0; the second
         # alone is (C^T + R^T D_s) p >= 0
         pair = pairs_for(s)
-        b_row = tuple(ends[e < 0] for ends, e in zip(b_ends, s))
-        return (pair[1::2] if nonneg else pair) + [
-            Constraint(b_row, LEQ, Fraction(-1))
-        ]
+        b_row = tuple(ends[e < 0] for ends, e in zip(scaled_ends, s))
+        return (pair[1::2] if nonneg else pair) + [Constraint(b_row, LEQ, -scale)]
 
-    hit = next(feasible_orthants(SignVector.all(m), rows_for), None)
+    hit = next(feasible_orthants(SignVector.all(matrix.m), rows_for), None)
     if hit is None:
         return Decision(True)
-    s, program, p = hit
+    s, _, p = hit
     # nonneg: the vertex C + D_s R, whose A^T p = (C^T + R^T D_s) p >= 0;
     # otherwise the member with A^T p = 0, built on the transposed matrix
     if nonneg:
         member = matrix.vertex_matrix(s, -SignVector.ones(matrix.n))
     else:
         member = oettli_prager_member(matrix.transpose(), p, s)[0].transpose()
-    b_vec = program.constraints[-1].coeffs  # the b row, b_c - D_s d
+    b_vec = tuple(ends[e < 0] for ends, e in zip(b_ends, s))
     return Decision(
         False,
         Certificate(sign_vector=s.entries, witness=p, member=member, rhs_member=b_vec),
@@ -670,12 +658,13 @@ def ineq_solvability(
         # x >= 0 is the one orthant (1, ..., 1)
         n = matrix.n
         signs = SignVector.all(n) if mode == "weak" else [SignVector.ones(n)]
-        pairs_for = oettli_prager_rows(*matrix.midpoint_radius(), b_hi)
+        _, pairs_for = endpoint_rows(matrix, b_hi, b_hi)
         hit = next(feasible_orthants(signs, lambda s: pairs_for(s)[0::2]), None)
         if hit is None:
             return Decision(False)
-        s, program, x = hit
-        member = RealMatrix([con.coeffs for con in program.constraints])
+        s, _, x = hit
+        # the rows' matrix C - R D_s picks lo where s_j = 1 and hi elsewhere
+        member = matrix.vertex_matrix(SignVector.ones(matrix.m), s)
         return Decision(
             True,
             Certificate(
@@ -773,16 +762,9 @@ def tc_existence(matrix: IntervalMatrix, rhs: IntervalVector, kind: str) -> Deci
             raise AssertionError("the tolerance witness fails its membership test")
         return Decision(True, Certificate(witness=x))
     if kind == "control":
-        # the Oettli-Prager pair with d replaced by -d
-        b_mid, b_rad = rhs.midpoint_radius()
-        minus_d = tuple(-d for d in b_rad)
-        hit = next(
-            feasible_orthants(
-                SignVector.all(matrix.n),
-                oettli_prager_rows(*matrix.midpoint_radius(), b_mid, minus_d),
-            ),
-            None,
-        )
+        # the Oettli-Prager pair with d replaced by -d swaps b_lo and b_hi
+        _, rows_for = endpoint_rows(matrix, rhs.upper(), rhs.lower())
+        hit = next(feasible_orthants(SignVector.all(matrix.n), rows_for), None)
         if hit is None:
             return Decision(False)
         s, _, x = hit

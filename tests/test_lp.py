@@ -584,23 +584,19 @@ def _programs(draw):
     return LinearProgram(objective, tuple(cons), bounds)
 
 def _cold(solve, program):
-    """solve(program) with no standard form kept from an earlier call."""
-    lp._last_standardized = None
-    return solve(program)
-
-
-def _with_objective(program, objective):
-    return LinearProgram(objective, program.constraints, program.bounds)
+    """solve(program) on a fresh program, with no standard form built yet."""
+    return solve(LinearProgram(program.objective, program.constraints, program.bounds))
 
 
 class TestPhase1Cache:
-    """lp keeps the last program's phase-1 end state; reusing it must give
-    exactly what a cold solve gives."""
+    """Each program keeps its own standard form and phase-1 end state, and
+    ``with_objective`` shares them; every result must be what a cold solve
+    gives."""
 
     def test_interleaved_calls_equal_cold_solves(self):
         programs = _fuzz_programs()
         for k, (p, q) in enumerate(zip(programs, programs[1:])):
-            p2 = _with_objective(p, tuple(-c for c in p.objective))
+            p2 = p.with_objective(tuple(-c for c in p.objective))
             warm = (lp_feasible(p), lp_optimize(q), lp_optimize(p2))
             cold = (
                 _cold(lp_feasible, p), _cold(lp_optimize, q), _cold(lp_optimize, p2)
@@ -609,12 +605,13 @@ class TestPhase1Cache:
 
     def test_repeated_optimize_leaves_the_cache_intact(self):
         for k, p in enumerate(_fuzz_programs()[:60]):
-            other = _with_objective(p, tuple(reversed(p.objective)))
+            other = p.with_objective(tuple(reversed(p.objective)))
             first = lp_optimize(p)
             for _ in range(3):
                 assert lp_optimize(p) == first, f"program {k}"
                 lp_optimize(other)
             assert lp_optimize(p) == _cold(lp_optimize, p), f"program {k}"
+            assert lp_optimize(other) == _cold(lp_optimize, other), f"program {k}"
 
     @pytest.fixture()
     def phase1_runs(self, monkeypatch):
@@ -626,22 +623,18 @@ class TestPhase1Cache:
             return real(*args)
 
         monkeypatch.setattr(lp, "_phase1", counted)
-        lp._last_standardized = None
         return runs
 
     def test_equal_program_hits(self, phase1_runs):
+        """with_objective shares phase 1; an equal program built anew runs
+        its own."""
         p = _fuzz_programs()[1]
-        twin = LinearProgram(
-            tuple(reversed(p.objective)),
-            tuple(
-                Constraint(tuple(c.coeffs), c.relation, c.rhs) for c in p.constraints
-            ),
-            tuple(tuple(b) for b in p.bounds) if p.bounds else None,
-        )
-        assert twin.constraints is not p.constraints
         assert lp_feasible(p).answer
+        twin = p.with_objective(tuple(reversed(p.objective)))
+        assert twin.constraints is p.constraints
         assert lp_optimize(twin) == _cold(lp_optimize, twin)
-        assert len(phase1_runs) == 2  # the first call and the cold solve
+        assert lp_optimize(p) == _cold(lp_optimize, p)
+        assert len(phase1_runs) == 3  # p and the two cold solves
 
     def test_other_bounds_or_arity_miss(self, phase1_runs):
         rows = (Constraint((F(1), F(1)), LEQ, F(4)),)
@@ -655,6 +648,11 @@ class TestPhase1Cache:
             free = LinearProgram(tuple([F(0)] * n), ())
             assert lp_feasible(free).certificate.witness == tuple([F(0)] * n)
         assert len(phase1_runs) == 4
+
+    def test_with_objective_checks_its_arity(self):
+        p = _fuzz_programs()[1]
+        with pytest.raises(MalformedProgram):
+            p.with_objective(p.objective + (F(1),))
 
 
 class TestPhase1Start:
@@ -693,7 +691,7 @@ class TestPhase1Start:
     )
     def test_kernel_lp_has_one_artificial(self, monkeypatch, matrix):
         """The rows (+-C - R D_s) x <= 0 start on their slacks; only
-        e^T D_s x >= 1 needs an artificial."""
+        e^T D_s x >= 1 needs an artificial, which starts basic."""
         n_cols, starts = [], []
         real_phase1, real_simplex = lp._phase1, lp._simplex_min
 
@@ -701,18 +699,18 @@ class TestPhase1Start:
             n_cols.append(n + sum(rel != EQ for rel in rels))
             return real_phase1(rows, rels, n)
 
-        def simplex(tableau, obj, basis, d):
+        def simplex(rows, cols, basis, d):
             if n_cols:  # phase 1 runs the simplex once, before any phase 2
-                cols = n_cols.pop()
-                starts.append((len(obj) - 1 - cols, sum(b >= cols for b in basis)))
-            return real_simplex(tableau, obj, basis, d)
+                width = n_cols.pop()
+                starts.append((sum(b >= width for b in basis),
+                               sum(j >= width for j in cols)))
+            return real_simplex(rows, cols, basis, d)
 
         monkeypatch.setattr(lp, "_phase1", phase1)
         monkeypatch.setattr(lp, "_simplex_min", simplex)
-        lp._last_standardized = None
         is_regular_exact(matrix)
-        # (artificial columns, artificials in the starting basis) per LP
-        assert starts and set(starts) == {(1, 1)}
+        # (artificials in the starting basis, artificial columns outside it)
+        assert starts and set(starts) == {(1, 0)}
 
 
 class TestContracts:
@@ -985,7 +983,7 @@ def _rational_exchange(rows, row, col):
 class TestCondensedExchange:
     """The full integer tableau restricted to its nonbasic columns, with the
     leaving column in the entering column's place, is d times the rational
-    exchange."""
+    exchange, and ``lp._exchange`` on the condensed tableau keeps it so."""
 
     def test_restricted_full_tableau_matches_rational_exchange(self):
         rng = random.Random(67)
@@ -1001,6 +999,7 @@ class TestCondensedExchange:
             ]
             nonbasic, basis, d = list(range(k)), [k + r for r in range(m)], 1
             rational = [[F(t[j]) for j in nonbasic] + [F(t[-1])] for t in full]
+            condensed = [[t[j] for j in nonbasic] + [t[-1]] for t in full]
             for _ in range(5):
                 choices = [(r, c) for r in range(m) for c in range(k)
                            if full[r][nonbasic[c]]]
@@ -1012,10 +1011,12 @@ class TestCondensedExchange:
                 seen["zero in the pivot column"] += any(
                     not t[nonbasic[c]] for t in full)
                 rational = _rational_exchange(rational, r, c)
+                new_d = lp._exchange(condensed, r, c, d)
                 d = bareiss_pivot(full, r, nonbasic[c], d)
                 basis[r], nonbasic[c] = nonbasic[c], basis[r]
                 restricted = [[t[j] for j in nonbasic] + [t[-1]] for t in full]
                 assert [[F(v, d) for v in t] for t in restricted] == rational
+                assert (condensed, new_d) == (restricted, d)
         assert all(seen.values()), seen
 
 
@@ -1032,9 +1033,34 @@ def _oettli_prager_formula(center, radius, s, b_mid, b_rad):
     return rows
 
 
+def _common_scale(*groups):
+    """The least common multiple of the denominators of the interval
+    endpoints in ``groups`` (interval matrices and vectors)."""
+    ends = [
+        q
+        for g in groups
+        for row in (g.entries if isinstance(g, IntervalMatrix) else [g.entries])
+        for e in row
+        for q in (e.lo, e.hi)
+    ]
+    return math.lcm(*(q.denominator for q in ends))
+
+
+def _times(rows, scale):
+    return [
+        Constraint(tuple(scale * c for c in r.coeffs), r.relation, scale * r.rhs)
+        for r in rows
+    ]
+
+
+def _all_ints(rows):
+    return all(type(v) is int for r in rows for v in (*r.coeffs, r.rhs))
+
+
 class TestOettliPragerRows:
-    """The row factory picks what the defining formula computes, on every
-    orthant."""
+    """The endpoint rows are L times what the defining formula computes, in
+    ints, on every orthant; L is the least common multiple of the
+    denominators of the endpoints."""
 
     CASES = [
         (m, n, seed, radius)
@@ -1046,19 +1072,30 @@ class TestOettliPragerRows:
 
     @pytest.mark.parametrize("m,n,seed,radius", CASES)
     def test_rows_match_formula(self, m, n, seed, radius):
-        center, rad = generate.gen_interval_matrix(m, n, seed, radius).midpoint_radius()
-        b_mid, b_rad = generate.gen_rhs(m, seed, radius).midpoint_radius()
+        matrix = generate.gen_interval_matrix(m, n, seed, radius)
+        rhs = generate.gen_rhs(m, seed, radius)
+        center, rad = matrix.midpoint_radius()
+        b_mid, b_rad = rhs.midpoint_radius()
         zero = tuple([F(0)] * m)
-        with_rhs = lp.oettli_prager_rows(center, rad, b_mid, b_rad)
-        without = lp.oettli_prager_rows(center, rad)
+        scale, with_rhs = lp.endpoint_rows(matrix, rhs.lower(), rhs.upper())
+        assert scale == _common_scale(matrix, rhs)
+        bare_scale, without = lp.endpoint_rows(matrix)
+        assert bare_scale == _common_scale(matrix)
         for s in SignVector.all(n):
-            assert with_rhs(s) == _oettli_prager_formula(center, rad, s, b_mid, b_rad)
-            assert without(s) == _oettli_prager_formula(center, rad, s, zero, zero)
+            rows = with_rhs(s)
+            assert _all_ints(rows)
+            assert rows == _times(
+                _oettli_prager_formula(center, rad, s, b_mid, b_rad), scale
+            )
+            assert without(s) == _times(
+                _oettli_prager_formula(center, rad, s, zero, zero), bare_scale
+            )
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_random_systems_match_formula(self, data):
-        """m, n <= 4, with a zero right-hand side, a box, and control's -d."""
+        """m, n <= 4, with a zero right-hand side, a box, and control's -d,
+        which swaps b_lo and b_hi."""
         m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
         matrix = data.draw(interval_matrices(m, n))
         rhs = data.draw(interval_vectors(m))
@@ -1066,15 +1103,25 @@ class TestOettliPragerRows:
         b_mid, b_rad = rhs.midpoint_radius()
         zero = tuple([F(0)] * m)
         minus_d = tuple(-v for v in b_rad)
-        for b_c, d in ((zero, zero), (b_mid, b_rad), (b_mid, minus_d)):
-            rows_for = lp.oettli_prager_rows(center, rad, b_c, d)
+        b_lo, b_hi = rhs.lower(), rhs.upper()
+        for ends, (b_c, d) in (
+            ((None, None), (zero, zero)),
+            ((b_lo, b_hi), (b_mid, b_rad)),
+            ((b_hi, b_lo), (b_mid, minus_d)),
+        ):
+            scale, rows_for = lp.endpoint_rows(matrix, *ends)
+            assert scale == (_common_scale(matrix) if ends[0] is None
+                             else _common_scale(matrix, rhs))
             for s in SignVector.all(n):
-                assert rows_for(s) == _oettli_prager_formula(center, rad, s, b_c, d)
+                rows = rows_for(s)
+                assert _all_ints(rows)
+                assert rows == _times(_oettli_prager_formula(center, rad, s, b_c, d), scale)
 
     @pytest.mark.parametrize("nonneg", [False, True], ids=["strong", "nonneg-strong"])
     @pytest.mark.parametrize("n", [2, 3])
     def test_strong_solvability_rows(self, monkeypatch, n, nonneg):
-        """Strong solvability's rows on C^T, R^T and its b row b_c - D_s d."""
+        """Strong solvability's rows on C^T, R^T and its b row b_c - D_s d,
+        all times the L of the matrix and the right-hand side."""
         matrix = generate.gen_interval_matrix(n + 1, n, n, F(1, 2))
         rhs = generate.gen_rhs(n + 1, n, F(1, 2))
         sweeps = []
@@ -1088,6 +1135,7 @@ class TestOettliPragerRows:
         center, rad = matrix.midpoint_radius()
         b_mid, b_rad = rhs.midpoint_radius()
         zero = tuple([F(0)] * n)
+        scale = _common_scale(matrix, rhs)
         for s in signs:
             pairs = _oettli_prager_formula(
                 center.transpose(), rad.transpose(), s, zero, zero
@@ -1096,7 +1144,9 @@ class TestOettliPragerRows:
             expected = (pairs[1::2] if nonneg else pairs) + [
                 Constraint(b_row, LEQ, F(-1))
             ]
-            assert rows_for(s) == expected
+            rows = rows_for(s)
+            assert _all_ints(rows)
+            assert rows == _times(expected, scale)
 
 
 class TestOettliPragerMember:
@@ -1208,8 +1258,8 @@ class TestUnderOptimize:
             "except AssertionError:\n"
             "    print('phase 1 raised')\n"
             "lp._simplex_min = real\n"
-            "lp._phase2 = lambda phase1, cost: lp.LpSolution(\n"
-            "    lp.OPTIMAL, Fraction(0), (Fraction(5),) * len(cost))\n"
+            "# x basic at 5, the slack of x <= 1 nonbasic: x = 5 breaks the row\n"
+            "lp._phase1 = lambda rows, rels, n: ([[1, 5]], [0], 1, [1])\n"
             "try:\n"
             "    lp_feasible(p)\n"
             "except AssertionError:\n"

@@ -384,25 +384,6 @@ class TestImxFormat:
         assert "line 2" in str(err.value)
 
 
-class TestStructurePredicates:
-    def test_band(self):
-        tri = IntervalMatrix.degenerate(
-            RealMatrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
-        )
-        assert tri.is_band(2)
-        assert not tri.is_band(1)
-        assert IntervalMatrix.degenerate(RealMatrix.diag([1, 2])).is_band(1)
-
-    def test_sparse(self):
-        a = IntervalMatrix.degenerate(RealMatrix([[1, 0], [1, 1]]))
-        assert a.is_sparse(2)
-        assert not a.is_sparse(1)
-        # an interval straddling zero is not structurally zero
-        b = IntervalMatrix([[iv(-1, 1), iv(0, 0)]])
-        assert b.is_sparse(1)
-        assert not IntervalMatrix([[iv(-1, 1), iv(0, 1)]]).is_sparse(1)
-
-
 def test_sign_vector_enumeration_order():
     seen = list(SignVector.all(2))
     assert seen[0].entries == (1, 1)
