@@ -41,8 +41,7 @@ def load_package(checkout: str, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for sub in ("cli", "matrices"):
-        importlib.import_module(f"{name}.{sub}")
+    importlib.import_module(f"{name}.cli")  # the enclose workload calls it
     return package
 
 
@@ -67,11 +66,12 @@ def make_call(pkg, case, matrix, rhs, paths):
     return solve
 
 
-def prepare(pkg, cases, workdir: str):
-    """Each case as ``pkg`` objects, parsed from its .imx text."""
+def write_texts(cases, workdir: str):
+    """(texts, paths) of each case's .imx files, written once for both
+    packages, since the command line prints the paths it reads."""
     import intlinalg
 
-    calls = []
+    out = []
     for k, case in enumerate(cases):
         texts = {"A": intlinalg.format_imx(case.matrix)}
         if case.rhs is not None:
@@ -81,6 +81,14 @@ def prepare(pkg, cases, workdir: str):
             paths[role] = os.path.join(workdir, f"{k:03d}{role}.imx")
             with open(paths[role], "w", encoding="utf-8") as fh:
                 fh.write(text)
+        out.append((texts, paths))
+    return out
+
+
+def prepare(pkg, cases, files):
+    """Each case's call on ``pkg`` objects parsed from its .imx text."""
+    calls = []
+    for case, (texts, paths) in zip(cases, files):
         matrix = pkg.parse_imx(texts["A"])
         rhs = pkg.parse_imx_vector(texts["b"]) if "b" in texts else None
         calls.append(make_call(pkg, case, matrix, rhs, paths))
@@ -115,10 +123,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name in args.workload:
             cases = wl.WORKLOADS[name].cases(args.seed)
-            calls = []
-            for tag, pkg in zip("ab", packages):
-                os.mkdir(os.path.join(tmp, f"{name}-{tag}"))
-                calls.append(prepare(pkg, cases, os.path.join(tmp, f"{name}-{tag}")))
+            os.mkdir(os.path.join(tmp, name))
+            files = write_texts(cases, os.path.join(tmp, name))
+            calls = [prepare(pkg, cases, files) for pkg in packages]
             cpu, differ = [0.0, 0.0], set()
             outputs = [[None] * len(cases), [None] * len(cases)]
             for p in range(args.passes):

@@ -69,6 +69,7 @@ def _number(value):
 
 
 def _numbers(values: Iterable) -> tuple:
+    """A tuple of exact numbers, as ``_number`` makes them."""
     values = tuple(values)
     return values if _EXACT.issuperset(map(type, values)) else tuple(map(_number, values))
 
@@ -228,7 +229,7 @@ class _Standardized:
         cost = [-sign * objective[j] for j, sign in self.columns]
         return cost, sum(c * v for c, v in zip(objective, self.offsets))
 
-    def recover(self, y: Sequence, d: int = 1) -> Tuple:
+    def recover(self, y: Sequence, d: int) -> Tuple:
         """d x from d y."""
         x = [v * d for v in self.offsets]
         for (j, sign), v in zip(self.columns, y):
