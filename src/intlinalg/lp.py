@@ -37,6 +37,7 @@ import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import Certificate, Decision, rational
@@ -145,12 +146,9 @@ class LinearProgram:
         object.__setattr__(program, "objective", objective)
         return program
 
+    @cached_property
     def standard_form(self) -> "_Standardized":
-        std = self.__dict__.get("_standard")
-        if std is None:
-            std = _Standardized(self)
-            object.__setattr__(self, "_standard", std)
-        return std
+        return _Standardized(self)
 
     def feasible_point(self, x: Sequence, d: int = 1) -> bool:
         """Does x / d satisfy the bounds and the rows?"""
@@ -386,7 +384,7 @@ def _phase2(
 
 def lp_optimize(program: LinearProgram) -> LpSolution:
     """Exact optimum of a maximization program (or infeasible/unbounded)."""
-    std = program.standard_form()
+    std = program.standard_form
     if std.phase1 is None:
         return LpSolution(INFEASIBLE)
     cost, shift = std.cost(program.objective)
@@ -400,7 +398,7 @@ def lp_optimize(program: LinearProgram) -> LpSolution:
 def lp_feasible(program: LinearProgram) -> Decision:
     """Feasibility with an exact witness on success: the basic solution that
     phase 1 ends on, checked against the program in integers."""
-    std = program.standard_form()
+    std = program.standard_form
     if std.phase1 is None:
         return Decision(False)
     tableau, basis, d, _ = std.phase1
