@@ -1,9 +1,12 @@
 """Interval arithmetic and the shared verdict types."""
 
+import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from conftest import grid_sample, intervals, rationals
@@ -79,6 +82,56 @@ def test_endpoint_attainment(x, y):
         ]
         assert min(values) == result.lo
         assert max(values) == result.hi
+
+
+def _corner_hull(x, y):
+    """Referee product: the hull of the four endpoint products."""
+    corners = [a * b for a in (x.lo, x.hi) for b in (y.lo, y.hi)]
+    return Interval(min(corners), max(corners))
+
+
+# endpoints that put each factor on either side of 0, on it, or across it
+_EDGES = (Fraction(-3), Fraction(-1, 2), Fraction(0), Fraction(2, 7), Fraction(5))
+_SIGN_CASES = [Interval(lo, hi) for lo, hi in itertools.combinations_with_replacement(_EDGES, 2)]
+
+
+def _signed_intervals():
+    endpoint = st.one_of(st.just(Fraction(0)), rationals(max_num=10**4, max_den=10**3))
+    return st.builds(lambda a, b: Interval(min(a, b), max(a, b)), endpoint, endpoint)
+
+
+class TestProductReferee:
+    """Products against the hull of the four endpoint products, and
+    quotients against the product with the reciprocal interval."""
+
+    def test_every_sign_case(self):
+        for x, y in itertools.product(_SIGN_CASES, repeat=2):
+            product = x * y
+            assert product == _corner_hull(x, y), (x, y)
+            assert type(product.lo) is Fraction and type(product.hi) is Fraction
+
+    @given(x=_signed_intervals(), y=_signed_intervals())
+    @settings(max_examples=300, deadline=None)
+    def test_product_is_corner_hull(self, x, y):
+        product = x * y
+        assert product == _corner_hull(x, y)
+        assert type(product.lo) is Fraction and type(product.hi) is Fraction
+
+    @given(x=_signed_intervals(), y=_signed_intervals())
+    @settings(max_examples=200, deadline=None)
+    def test_quotient_is_product_with_reciprocal(self, x, y):
+        if y.contains_zero():
+            with pytest.raises(DivisionByIntervalContainingZero):
+                x / y
+            return
+        quotient = x / y
+        assert quotient == x * Interval(1 / y.hi, 1 / y.lo)
+        assert type(quotient.lo) is Fraction and type(quotient.hi) is Fraction
+
+    def test_int_endpoints_become_fractions(self):
+        product = Interval(-2, 3) * Interval(0, 4)
+        assert product == iv(-8, 12)
+        assert type(product.lo) is Fraction and type(product.hi) is Fraction
 
 
 def test_inclusion_soundness_seeded():
@@ -172,6 +225,37 @@ class TestTextForms:
         for text in ("1.5", "a", "1/0", "--2", "1/-3"):
             with pytest.raises(ParseError):
                 parse_rational(text)
+
+
+class TestParseRational:
+    """``parse_rational`` accepts what its pattern accepts, with the value
+    ``Fraction`` gives the same text, and refuses the rest as before."""
+
+    @pytest.mark.parametrize(
+        "text", ["+7", "-0", "007/10", "12/8", "-0/5", "4" * 4000, "-" + "9" * 4000 + "/36"]
+    )
+    def test_accepted_literals_match_fraction(self, text):
+        value = parse_rational(text)
+        assert value == Fraction(text)
+        assert type(value) is Fraction
+
+    @pytest.mark.parametrize("text", ["1/0", "1.5", "--1", "1/-2", "", " ", "1e3", "0x10"])
+    def test_rejected_literals(self, text):
+        with pytest.raises(ParseError, match=r"^not a rational literal: ") as caught:
+            parse_rational(text)
+        assert str(caught.value) == f"not a rational literal: {text.strip()!r}"
+
+    def test_numerator_past_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the int-to-str digit limit is off")
+        text = "1" * (limit + 1)
+        with pytest.raises(ValueError) as expected:
+            Fraction(text)
+        with pytest.raises(ValueError) as caught:
+            parse_rational(text)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == str(expected.value)
 
 
 class TestVerdict:

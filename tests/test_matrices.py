@@ -226,6 +226,71 @@ def _fraction_rows(rows):
     return [[Fraction(v) for v in row] for row in rows]
 
 
+def _naive_product(a_rows, b_rows):
+    return [
+        [sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*b_rows)]
+        for row in a_rows
+    ]
+
+
+def _wide_entry(rng):
+    """An int, a zero, or a Fraction with a small or a 70-bit denominator."""
+    pick = rng.random()
+    if pick < 0.2:
+        return 0
+    if pick < 0.4:
+        return rng.randint(-9, 9)
+    if pick < 0.5:
+        return Fraction(rng.randint(-9, 9), 2**70 + rng.randint(0, 5))
+    return _entry(rng)
+
+
+class TestPointProducts:
+    """``A @ B`` and ``A.matvec(x)`` against a plain Fraction sum, over
+    shapes 1..5 with int entries, zero rows and zero columns."""
+
+    def _operands(self, rng, m, k, n):
+        a = [[_wide_entry(rng) for _ in range(k)] for _ in range(m)]
+        b = [[_wide_entry(rng) for _ in range(n)] for _ in range(k)]
+        if rng.random() < 0.3:
+            a[rng.randrange(m)] = [0] * k
+        if rng.random() < 0.3:
+            j = rng.randrange(n)
+            for row in b:
+                row[j] = 0
+        return a, b
+
+    def test_matmul_matches_naive_sum(self):
+        rng = random.Random(1701)
+        for m, k, n in itertools.product(range(1, 6), repeat=3):
+            a, b = self._operands(rng, m, k, n)
+            product = RealMatrix(a) @ RealMatrix(b)
+            assert product.rows == tuple(map(tuple, _naive_product(a, b))), (a, b)
+            assert all(type(v) is Fraction for row in product.rows for v in row)
+
+    def test_matvec_matches_naive_sum(self):
+        rng = random.Random(1702)
+        for m, k in itertools.product(range(1, 6), repeat=2):
+            for _ in range(3):
+                a, b = self._operands(rng, m, k, 1)
+                x = [row[0] for row in b]
+                y = RealMatrix(a).matvec(x)
+                assert y == tuple(row[0] for row in _naive_product(a, b)), (a, x)
+                assert type(y) is tuple and all(type(v) is Fraction for v in y)
+
+    def test_zero_operands(self):
+        assert RealMatrix.zeros(2, 3) @ RealMatrix.ones(3, 4) == RealMatrix.zeros(2, 4)
+        assert RealMatrix.ones(2, 3).matvec([0, 0, 0]) == (Fraction(0), Fraction(0))
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(DimensionMismatch):
+            RealMatrix.ones(2, 3) @ RealMatrix.ones(2, 3)
+        with pytest.raises(DimensionMismatch):
+            RealMatrix.ones(2, 3).matvec([1, 2])
+        with pytest.raises(DimensionMismatch):
+            RealMatrix.ones(2, 3).matvec([1, 2, 3, 4])
+
+
 # zero pivots that force a row swap (at the first step and after one
 # elimination), negative pivots, singular and zero matrices, denominators 97
 SQUARE_CASES = [
