@@ -2,7 +2,9 @@
 
 Every quantity in this package is a ``fractions.Fraction``: arbitrary
 precision, always reduced, positive denominator, so equality is structural
-and arithmetic is exact.  No floating point enters any computation.
+and arithmetic is exact.  No floating point enters any computation.  A product
+of intervals reads their endpoint signs (Moore, Kearfott & Cloud 2009, 2.3)
+and forms four endpoint products only when both factors straddle 0.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .errors import DivisionByIntervalContainingZero, EmptyInput, ParseError
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
 
 def rational(value) -> Fraction:
@@ -32,9 +34,10 @@ def rational(value) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    match = _RATIONAL_RE.match(text)
+    if not match:
         raise ParseError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def format_rational(q: Fraction) -> str:
@@ -49,8 +52,10 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", rational(self.lo))
-        object.__setattr__(self, "hi", rational(self.hi))
+        if type(self.lo) is not Fraction:
+            object.__setattr__(self, "lo", rational(self.lo))
+        if type(self.hi) is not Fraction:
+            object.__setattr__(self, "hi", rational(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"interval bounds out of order: {self.lo} > {self.hi}")
 
@@ -134,13 +139,16 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(min(products), max(products))
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if a >= 0:
+            return Interval(a * c if c >= 0 else b * c, b * d if d >= 0 else a * d)
+        if b <= 0:
+            return Interval(a * d if d >= 0 else b * d, b * c if c >= 0 else a * c)
+        if c >= 0:
+            return Interval(a * d, b * d)
+        if d <= 0:
+            return Interval(b * c, a * c)
+        return Interval(min(a * d, b * c), max(a * c, b * d))
 
     def __truediv__(self, other: "Interval") -> "Interval":
         if other.contains_zero():

@@ -5,12 +5,15 @@ inverse, solve, leading minors) that every decision procedure leans on.  It
 all runs on ``bareiss_pivot``, the package's one exact pivot, which the
 simplex in ``lp`` uses too: rows are scaled to integers (``integer_rows``)
 and every pivot divides exactly, so no Fraction enters an elimination.
+Products scale rows and columns the same way and take integer dot products,
+so they make one Fraction per entry.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -19,12 +22,6 @@ from .core import Interval, as_vector, format_interval, parse_interval, rational
 from .errors import DimensionMismatch, NotSquare, ParseError, SingularMatrix
 
 Vector = Tuple[Fraction, ...]
-
-
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"dot of lengths {len(u)} and {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def vec_abs(u: Sequence[Fraction]) -> Vector:
@@ -105,7 +102,9 @@ class RealMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        converted = tuple(tuple(rational(v) for v in row) for row in rows)
+        converted = tuple(
+            tuple(v if type(v) is Fraction else rational(v) for v in row) for row in rows
+        )
         if not converted or not converted[0]:
             raise DimensionMismatch("matrix must have at least one row and column")
         width = len(converted[0])
@@ -189,13 +188,18 @@ class RealMatrix:
     def __matmul__(self, other: "RealMatrix") -> "RealMatrix":
         if self.n != other.m:
             raise DimensionMismatch(f"matmul {self.shape} @ {other.shape}")
-        cols = other.transpose().rows
-        return RealMatrix([[dot(r, c) for c in cols] for r in self.rows])
+        # integer dot products of the scaled rows and columns, one Fraction each
+        left, row_scales = integer_rows(self.rows)
+        right, col_scales = integer_rows(zip(*other.rows))
+        return RealMatrix(
+            [[Fraction(sum(map(operator.mul, r, c)), k * h) for c, h in zip(right, col_scales)]
+             for r, k in zip(left, row_scales)]
+        )
 
     def matvec(self, x: Sequence[Fraction]) -> Vector:
         if self.n != len(x):
             raise DimensionMismatch(f"matvec {self.shape} with vector of length {len(x)}")
-        return tuple(dot(row, x) for row in self.rows)
+        return (self @ RealMatrix.column(x)).col(0)
 
     def abs(self) -> "RealMatrix":
         return RealMatrix([[abs(v) for v in row] for row in self.rows])
