@@ -316,7 +316,10 @@ def _emit_report(out: TextIO, report: systems.SolveReport) -> int:
 def _run_solve(args, out: TextIO) -> int:
     matrix = _load_matrix(args.matrix)
     rhs = _load_vector(args.rhs)
-    opts = systems.SolveOptions(max_iter=args.max_iter)
+    try:
+        opts = systems.SolveOptions(max_iter=args.max_iter)
+    except ValueError as exc:  # --max-iter below 1
+        raise ParseError(str(exc)) from exc
     if args.method == "auto":
         report = systems.solve_auto(matrix, rhs, opts)
     elif args.method == "hull":

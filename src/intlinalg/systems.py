@@ -73,6 +73,10 @@ class SolveOptions:
     initial: Optional[IntervalVector] = None
     precondition: Optional[bool] = None
 
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+
 
 @dataclass(frozen=True)
 class ParametricSystem:

@@ -300,6 +300,8 @@ class TestExitCodes:
              "parametric", "--terms", "0", "--pbox", "rhs.imx"),
             ("member", "identity.imx", "rhs.imx", "--x", "x.imx", "--kind",
              "parametric", "--terms", "-1", "--pbox", "rhs.imx"),
+            ("solve", "identity.imx", "rhs.imx", "--method", "jacobi", "--max-iter", "0"),
+            ("solve", "identity.imx", "rhs.imx", "--method", "jacobi", "--max-iter", "-3"),
         ],
         ids=[
             "regular-cond-4", "singular-cond-9", "fullrank-cond-0",
@@ -308,6 +310,7 @@ class TestExitCodes:
             "gen-negative-radius", "gen-rhs-negative-radius",
             "gen-mmatrix-not-square", "oracle-sample-count-0",
             "member-terms-0", "member-terms-negative",
+            "solve-max-iter-0", "solve-max-iter-negative",
         ],
     )
     def test_bad_argument_value_is_1(self, files, argv):

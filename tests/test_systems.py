@@ -220,6 +220,11 @@ class TestEnclosureMethods:
         report = enclosure(a, b, "krawczyk", SolveOptions(max_iter=1))
         assert report.iterations == 1
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            SolveOptions(max_iter=max_iter)
+
 
 class TestMMatrixGaussSeidel:
     def test_detection(self):
