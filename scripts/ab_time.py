@@ -10,12 +10,14 @@ even (instance + pass) and B first otherwise, so a drift in the machine's
 speed falls on both alike.  Afterwards it checks that both packages gave
 the same output on every instance (``repr`` equal; the command line's
 ``time_ms=`` line dropped) and prints the CPU time of each package and the
-speedup, A time over B time, per workload.
+speedup, A time over B time, per workload.  With ``--detail`` it also
+prints the speedup per instance group: method and n for ``enclose``, kind
+and n for ``sweep`` and ``hull``.
 
 Usage, from anywhere:
 
     python3 scripts/ab_time.py --a PARENT_CHECKOUT --b CHANGED_CHECKOUT \\
-        [--workload sweep hull enclose] [--seed 401] [--passes 5]
+        [--workload sweep hull enclose] [--seed 401] [--passes 5] [--detail]
 
 It exits 1 if an output differs.
 """
@@ -105,6 +107,19 @@ def timed(call):
     return time.process_time() - t0, repr(out)
 
 
+def print_groups(name, cases, cpu):
+    """The CPU times and speedup of each (method or kind, n) group."""
+    groups = {}
+    for i, case in enumerate(cases):
+        sums = groups.setdefault((case.method or case.kind, case.n), [0, 0.0, 0.0])
+        sums[0] += 1
+        sums[1] += cpu[0][i]
+        sums[2] += cpu[1][i]
+    for (label, n), (count, a, b) in sorted(groups.items()):
+        print(f"  {name} {label} n={n}: {count} instances, "
+              f"cpu A {a:.3f} s, B {b:.3f} s, speedup A/B {a / b:.3f}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--a", required=True, help="checkout timed first (the base)")
@@ -112,6 +127,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", nargs="+", default=["sweep", "hull"])
     parser.add_argument("--seed", type=int, default=401)
     parser.add_argument("--passes", type=int, default=5)
+    parser.add_argument("--detail", action="store_true",
+                        help="also print the speedup per instance group")
     args = parser.parse_args(argv)
 
     bench = os.path.join(os.path.abspath(args.b), "perfbench")
@@ -126,21 +143,25 @@ def main(argv=None) -> int:
             os.mkdir(os.path.join(tmp, name))
             files = write_texts(cases, os.path.join(tmp, name))
             calls = [prepare(pkg, cases, files) for pkg in packages]
-            cpu, differ = [0.0, 0.0], set()
+            differ = set()
+            cpu = [[0.0] * len(cases), [0.0] * len(cases)]
             outputs = [[None] * len(cases), [None] * len(cases)]
             for p in range(args.passes):
                 for i in range(len(cases)):
                     for side in ((0, 1) if (i + p) % 2 == 0 else (1, 0)):
                         seconds, outputs[side][i] = timed(calls[side][i])
-                        cpu[side] += seconds
+                        cpu[side][i] += seconds
                 differ.update(case.key for case, a, b in zip(cases, *outputs) if a != b)
             for key in sorted(differ):
                 print(f"{name} {key}: outputs differ", file=sys.stderr)
             failed |= bool(differ)
+            total = [sum(side) for side in cpu]
             print(f"{name}: {len(cases)} instances x {args.passes} passes, "
-                  f"cpu A {cpu[0]:.3f} s, B {cpu[1]:.3f} s, "
-                  f"speedup A/B {cpu[0] / cpu[1]:.3f}, "
+                  f"cpu A {total[0]:.3f} s, B {total[1]:.3f} s, "
+                  f"speedup A/B {total[0] / total[1]:.3f}, "
                   f"outputs {'DIFFER' if differ else 'equal'}")
+            if args.detail:
+                print_groups(name, cases, cpu)
     return 1 if failed else 0
 
 
