@@ -3,7 +3,7 @@
 Every quantity in this package is a ``fractions.Fraction``: arbitrary
 precision, always reduced, positive denominator, so equality is structural
 and arithmetic is exact.  No floating point enters any computation.  A product
-of intervals reads their endpoint signs (Moore, Kearfott & Cloud 2009, 2.3)
+of intervals reads their endpoint signs (Moore, Kearfott & Cloud 2009, sec. 2.3)
 and forms four endpoint products only when both factors straddle 0.
 """
 

@@ -188,7 +188,6 @@ class RealMatrix:
     def __matmul__(self, other: "RealMatrix") -> "RealMatrix":
         if self.n != other.m:
             raise DimensionMismatch(f"matmul {self.shape} @ {other.shape}")
-        # integer dot products of the scaled rows and columns, one Fraction each
         left, row_scales = integer_rows(self.rows)
         right, col_scales = integer_rows(zip(*other.rows))
         return RealMatrix(
