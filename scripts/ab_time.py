@@ -10,14 +10,13 @@ even (instance + pass) and B first otherwise, so a drift in the machine's
 speed falls on both alike.  Afterwards it checks that both packages gave
 the same output on every instance (``repr`` equal; the command line's
 ``time_ms=`` line dropped) and prints the CPU time of each package and the
-speedup, A time over B time, per workload.  With ``--detail`` it also
-prints the speedup per instance group: method and n for ``enclose``, kind
-and n for ``sweep`` and ``hull``.
+speedup, A time over B time, per workload and per instance group: method
+and n for ``enclose``, kind and n for ``sweep`` and ``hull``.
 
 Usage, from anywhere:
 
     python3 scripts/ab_time.py --a PARENT_CHECKOUT --b CHANGED_CHECKOUT \\
-        [--workload sweep hull enclose] [--seed 401] [--passes 5] [--detail]
+        [--workload sweep hull enclose] [--seed 401] [--passes 5]
 
 It exits 1 if an output differs.
 """
@@ -127,8 +126,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", nargs="+", default=["sweep", "hull"])
     parser.add_argument("--seed", type=int, default=401)
     parser.add_argument("--passes", type=int, default=5)
-    parser.add_argument("--detail", action="store_true",
-                        help="also print the speedup per instance group")
     args = parser.parse_args(argv)
 
     bench = os.path.join(os.path.abspath(args.b), "perfbench")
@@ -160,8 +157,7 @@ def main(argv=None) -> int:
                   f"cpu A {total[0]:.3f} s, B {total[1]:.3f} s, "
                   f"speedup A/B {total[0] / total[1]:.3f}, "
                   f"outputs {'DIFFER' if differ else 'equal'}")
-            if args.detail:
-                print_groups(name, cases, cpu)
+            print_groups(name, cases, cpu)
     return 1 if failed else 0
 
 
