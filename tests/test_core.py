@@ -6,7 +6,6 @@ import sys
 from fractions import Fraction
 
 import pytest
-import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from conftest import grid_sample, intervals, rationals
@@ -82,6 +81,7 @@ def test_endpoint_attainment(x, y):
         ]
         assert min(values) == result.lo
         assert max(values) == result.hi
+        assert type(result.lo) is Fraction and type(result.hi) is Fraction
 
 
 def _corner_hull(x, y):
@@ -95,11 +95,6 @@ _EDGES = (Fraction(-3), Fraction(-1, 2), Fraction(0), Fraction(2, 7), Fraction(5
 _SIGN_CASES = [Interval(lo, hi) for lo, hi in itertools.combinations_with_replacement(_EDGES, 2)]
 
 
-def _signed_intervals():
-    endpoint = st.one_of(st.just(Fraction(0)), rationals(max_num=10**4, max_den=10**3))
-    return st.builds(lambda a, b: Interval(min(a, b), max(a, b)), endpoint, endpoint)
-
-
 class TestProductReferee:
     """Products against the hull of the four endpoint products, and
     quotients against the product with the reciprocal interval."""
@@ -110,14 +105,7 @@ class TestProductReferee:
             assert product == _corner_hull(x, y), (x, y)
             assert type(product.lo) is Fraction and type(product.hi) is Fraction
 
-    @given(x=_signed_intervals(), y=_signed_intervals())
-    @settings(max_examples=300, deadline=None)
-    def test_product_is_corner_hull(self, x, y):
-        product = x * y
-        assert product == _corner_hull(x, y)
-        assert type(product.lo) is Fraction and type(product.hi) is Fraction
-
-    @given(x=_signed_intervals(), y=_signed_intervals())
+    @given(x=intervals(), y=intervals())
     @settings(max_examples=200, deadline=None)
     def test_quotient_is_product_with_reciprocal(self, x, y):
         if y.contains_zero():
@@ -222,14 +210,15 @@ class TestTextForms:
         )
 
     def test_bad_literals_rejected(self):
-        for text in ("1.5", "a", "1/0", "--2", "1/-3"):
-            with pytest.raises(ParseError):
+        for text in ("1.5", "a", "1/0", "--2", "1/-3", "", " ", "1e3", "0x10"):
+            with pytest.raises(ParseError) as caught:
                 parse_rational(text)
+            assert str(caught.value) == f"not a rational literal: {text.strip()!r}"
 
 
 class TestParseRational:
     """``parse_rational`` accepts what its pattern accepts, with the value
-    ``Fraction`` gives the same text, and refuses the rest as before."""
+    ``Fraction`` gives the same text; ``TestTextForms`` covers what it refuses."""
 
     @pytest.mark.parametrize(
         "text", ["+7", "-0", "007/10", "12/8", "-0/5", "4" * 4000, "-" + "9" * 4000 + "/36"]
@@ -238,12 +227,6 @@ class TestParseRational:
         value = parse_rational(text)
         assert value == Fraction(text)
         assert type(value) is Fraction
-
-    @pytest.mark.parametrize("text", ["1/0", "1.5", "--1", "1/-2", "", " ", "1e3", "0x10"])
-    def test_rejected_literals(self, text):
-        with pytest.raises(ParseError, match=r"^not a rational literal: ") as caught:
-            parse_rational(text)
-        assert str(caught.value) == f"not a rational literal: {text.strip()!r}"
 
     def test_numerator_past_digit_limit(self):
         limit = sys.get_int_max_str_digits()
