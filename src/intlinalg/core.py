@@ -52,10 +52,8 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
-        if type(self.lo) is not Fraction:
-            object.__setattr__(self, "lo", rational(self.lo))
-        if type(self.hi) is not Fraction:
-            object.__setattr__(self, "hi", rational(self.hi))
+        object.__setattr__(self, "lo", rational(self.lo))
+        object.__setattr__(self, "hi", rational(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"interval bounds out of order: {self.lo} > {self.hi}")
 

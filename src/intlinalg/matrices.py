@@ -102,9 +102,7 @@ class RealMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        converted = tuple(
-            tuple(v if type(v) is Fraction else rational(v) for v in row) for row in rows
-        )
+        converted = tuple(tuple(rational(v) for v in row) for row in rows)
         if not converted or not converted[0]:
             raise DimensionMismatch("matrix must have at least one row and column")
         width = len(converted[0])
