@@ -130,6 +130,24 @@ def vertex_system_hull(matrix: IntervalMatrix, rhs: IntervalVector) -> IntervalV
     return IntervalVector.from_bounds(tuple(lo), tuple(hi))
 
 
+def vertex_inverse(matrix: IntervalMatrix) -> IntervalMatrix:
+    """Componentwise min/max of the 4^n vertex inverses A_yz^-1, which is
+    the inverse hull of a regular matrix (Rohn 1993)."""
+    if matrix.m != matrix.n:
+        raise SizeGuardExceeded("vertex inverse oracle needs a square matrix")
+    if matrix.n > 4:
+        raise SizeGuardExceeded("vertex inverse oracle guarded to n <= 4")
+    n = matrix.n
+    inverses = [
+        matrix.vertex_matrix(y, z).inverse().rows
+        for y in SignVector.all(n)
+        for z in SignVector.all(n)
+    ]
+    lower = [[min(v[i][j] for v in inverses) for j in range(n)] for i in range(n)]
+    upper = [[max(v[i][j] for v in inverses) for j in range(n)] for i in range(n)]
+    return IntervalMatrix.from_bounds(RealMatrix(lower), RealMatrix(upper))
+
+
 def vertex_matvec_hull(matrix: IntervalMatrix, x: Sequence[Fraction]) -> IntervalVector:
     """Hull of A_yz @ x over all sign-vector vertices."""
     lo: Optional[List[Fraction]] = None

@@ -46,6 +46,7 @@ def files(tmp_path):
     write("x3.imx", "3 1\n1\n1\n1\n")
     write("swap.imx", "2 2\n0 1\n1 0\n")
     write("scalar.imx", "1 1\n1:2\n")
+    write("regular3.imx", "3 3\n3:4 0:1 -1/2:0\n1 -4:-3 1/4:1/2\n0:1/2 1 2:5/2\n")
     write("scalar_rhs.imx", "1 1\n1\n")
     write("bad.imx", "2 2\n1 2\n3\n")
     return paths
@@ -176,6 +177,14 @@ class TestInverseDetEig:
         code, fields, _ = invoke("inverse", files["scalar.imx"].replace("scalar", "identity"), "--method", "exact")
         assert code == 0
         assert fields["inverse_lower"] == "[1,0;0,1]"
+
+    def test_inverse_exact_bounds(self, files):
+        code, fields, _ = invoke("inverse", files["regular3.imx"], "--method", "exact")
+        assert code == 0
+        assert fields["method"] == "vertex"
+        assert fields["inverse_lower"] == "[2/9,0,-2/85;7/149,-10/31,3/133;-2/15,10/141,36/101]"
+        assert fields["inverse_upper"] == "[1/3,2/17,8/101;10/93,-3/14,1/10;-1/45,4/25,104/213]"
+        assert fields["exact"] == "true"
 
     def test_inverse_unit_midpoint_needs_unit_center(self, files):
         code, fields, _ = invoke("inverse", files["wide.imx"], "--method", "unit-midpoint")

@@ -24,8 +24,13 @@ from intlinalg.errors import (
     SizeGuardExceeded,
     SpectralRadiusNotProven,
 )
-from intlinalg.generate import contraction_radius_matrix, gen_interval_matrix
+from intlinalg.generate import (
+    contraction_radius_matrix,
+    gen_interval_matrix,
+    gen_regular_matrix,
+)
 from intlinalg.matrices import SignVector
+from intlinalg.oracles import vertex_inverse
 
 
 def F(a, b=1):
@@ -81,6 +86,30 @@ class TestInverseExact:
     def test_size_guard(self):
         with pytest.raises(SizeGuardExceeded):
             inverse_exact(IntervalMatrix.identity(7))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_vertex_inverse(self, n):
+        """The exact inverse equals the vertex-inverse referee on regular
+        matrices and raises on the singular general draws."""
+        cases = [IntervalMatrix.identity(n)]
+        if n == 1:
+            cases.append(IntervalMatrix([[iv(2, 4)]]))
+        for seed in range(4):
+            cases.append(gen_regular_matrix(n, seed))
+            cases.append(gen_interval_matrix(n, n, seed, F(1, 16)))
+        for seed in range(2):
+            cases.append(gen_interval_matrix(n, n, seed, F(1, 8), "mmatrix"))
+            cases.append(
+                IntervalMatrix.from_midpoint_radius(
+                    RealMatrix.identity(n), contraction_radius_matrix(n, seed)
+                )
+            )
+        for a in cases:
+            if is_regular_exact(a).answer:
+                assert inverse_exact(a).matrix == vertex_inverse(a), a
+            else:
+                with pytest.raises(SingularIntervalMatrix):
+                    inverse_exact(a)
 
 
 class TestUnitMidpoint:
