@@ -612,11 +612,26 @@ class TestToleranceControl:
             x = tuple(
                 Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2)
             )
-            product = a.matvec_point(x)
-            tol = tc_membership(a, b, x, "tolerance")
-            ctl = tc_membership(a, b, x, "control")
-            assert tol == b.contains_box(product)
-            assert ctl == product.contains_box(b)
+            # Oettli-Prager written out: r = C x - b_c and s = R |x|; the
+            # shifted rhs, which need not hold 0, makes is_solution vary
+            center, radius = a.midpoint_radius()
+            s = [sum(radius[i, j] * abs(x[j]) for j in range(2)) for i in range(2)]
+            for rhs in (b, IntervalVector([e.shift(3) for e in b])):
+                b_mid, d = rhs.midpoint_radius()
+                r = [
+                    sum(center[i, j] * x[j] for j in range(2)) - b_mid[i]
+                    for i in range(2)
+                ]
+                pairs = list(zip(r, s, d))
+                assert is_solution(a, rhs, x) == all(
+                    abs(ri) <= si + di for ri, si, di in pairs
+                )
+                assert tc_membership(a, rhs, x, "tolerance") == all(
+                    abs(ri) <= di - si for ri, si, di in pairs
+                )
+                assert tc_membership(a, rhs, x, "control") == all(
+                    abs(ri) <= si - di for ri, si, di in pairs
+                )
             checked += 1
 
     def test_tolerance_existence(self):
