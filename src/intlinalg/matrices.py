@@ -285,14 +285,6 @@ class RealMatrix:
         return f"RealMatrix[{body}]"
 
 
-def componentwise_min(a: RealMatrix, b: RealMatrix) -> RealMatrix:
-    return RealMatrix([[min(x, y) for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)])
-
-
-def componentwise_max(a: RealMatrix, b: RealMatrix) -> RealMatrix:
-    return RealMatrix([[max(x, y) for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)])
-
-
 @dataclass(frozen=True)
 class SignVector:
     """A +/-1 vector; indexes orthants and vertex matrices."""

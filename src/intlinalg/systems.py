@@ -159,13 +159,20 @@ def hull_exact(matrix: IntervalMatrix, rhs: IntervalVector) -> SolveReport:
         raise UnboundedSolutionSet(
             "solution set may be unbounded: no full column rank"
         )
+    box = _orthant_hull(matrix, rhs)
+    return SolveReport(box, "hull", True, 0, insolvability_detected=box is None)
+
+
+def _orthant_hull(
+    matrix: IntervalMatrix, rhs: IntervalVector
+) -> Optional[IntervalVector]:
+    """Hull of a bounded solution set from 2n LPs per feasible orthant;
+    None when no orthant is feasible."""
     n = matrix.n
     lo: List[Optional[Fraction]] = [None] * n
     hi: List[Optional[Fraction]] = [None] * n
-    any_feasible = False
     _, rows_for = endpoint_rows(matrix, rhs.lower(), rhs.upper())
     for _, program, _ in feasible_orthants(SignVector.all(n), rows_for):
-        any_feasible = True
         for j in range(n):
             for direction in (1, -1):
                 obj = tuple(direction if t == j else 0 for t in range(n))
@@ -179,10 +186,9 @@ def hull_exact(matrix: IntervalMatrix, rhs: IntervalVector) -> SolveReport:
                     hi[j] = value if hi[j] is None else max(hi[j], value)
                 else:
                     lo[j] = value if lo[j] is None else min(lo[j], value)
-    if not any_feasible:
-        return SolveReport(None, "hull", True, 0, insolvability_detected=True)
-    box = IntervalVector.from_bounds(tuple(lo), tuple(hi))
-    return SolveReport(box, "hull", True, 0, insolvability_detected=False)
+    if lo[0] is None:
+        return None
+    return IntervalVector.from_bounds(tuple(lo), tuple(hi))
 
 
 # ---------------------------------------------------------------------------

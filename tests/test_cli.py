@@ -181,7 +181,7 @@ class TestInverseDetEig:
     def test_inverse_exact_bounds(self, files):
         code, fields, _ = invoke("inverse", files["regular3.imx"], "--method", "exact")
         assert code == 0
-        assert fields["method"] == "vertex"
+        assert fields["method"] == "hull"
         assert fields["inverse_lower"] == "[2/9,0,-2/85;7/149,-10/31,3/133;-2/15,10/141,36/101]"
         assert fields["inverse_upper"] == "[1/3,2/17,8/101;10/93,-3/14,1/10;-1/45,4/25,104/213]"
         assert fields["exact"] == "true"
