@@ -457,18 +457,6 @@ class IntervalMatrix:
             [Interval(m - r, m + r) for m, r in zip(mid, rad)]
         )
 
-    def matvec_box(self, x: "IntervalVector") -> "IntervalVector":
-        """Sound interval evaluation of A*x for an interval vector x."""
-        if x.dim != self.n:
-            raise DimensionMismatch("box length does not match column count")
-        out = []
-        for row in self.entries:
-            acc = Interval.point(0)
-            for e, xe in zip(row, x.entries):
-                acc = acc + e * xe
-            out.append(acc)
-        return IntervalVector(out)
-
     def matmul_interval(self, other: "IntervalMatrix") -> "IntervalMatrix":
         """Sound interval evaluation of A @ B."""
         if self.n != other.m:

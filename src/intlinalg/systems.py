@@ -315,14 +315,6 @@ def monotone_hull(matrix: IntervalMatrix, rhs: IntervalVector) -> IntervalVector
 # enclosure methods
 
 
-def _box_add(a: IntervalVector, b: IntervalVector) -> IntervalVector:
-    return IntervalVector([x + y for x, y in zip(a.entries, b.entries)])
-
-
-def _box_shift(box: IntervalVector, v: Sequence[Fraction]) -> IntervalVector:
-    return IntervalVector([e.shift(q) for e, q in zip(box.entries, v)])
-
-
 def _preconditioned(
     matrix: IntervalMatrix, rhs: IntervalVector
 ) -> Tuple[RealMatrix, Vector, Vector]:
@@ -465,23 +457,25 @@ def _iterate(
         pre_b = IntervalVector.from_bounds(vec_sub(xc, q), vec_add(xc, q))
         box = opts.initial if opts.initial is not None else _auto_initial(p, xc, q)
     if method == "krawczyk":
-        identity = IntervalMatrix.identity(n)
-        gap = IntervalMatrix(
-            [[identity[i, j] - pre_a[i, j] for j in range(n)] for i in range(n)]
-        )
+        # with x - m = [-r, r], K(x) = m + (b - A m) + (I - A)(x - m) is the
+        # box of midpoint m + b_c - A_c m and radius b_r + R |m| + |I - A| r
+        center, radius = pre_a.midpoint_radius()
+        b_mid, b_rad = pre_b.midpoint_radius()
+        gap_mag = (RealMatrix.identity(n) - center).abs() + radius
     elif any(pre_a[i, i].contains_zero() for i in range(n)):
         raise PivotContainsZero("a preconditioned diagonal entry contains zero")
     iterations = 0
     while iterations < opts.max_iter:
         iterations += 1
         if method == "krawczyk":
-            mid, _ = box.midpoint_radius()
-            exact_prod = pre_a.matvec_point(mid)
-            residual = IntervalVector(
-                [pre_b[i] - exact_prod[i] for i in range(n)]
+            m, r = box.midpoint_radius()
+            k_mid = vec_add(m, vec_sub(b_mid, center.matvec(m)))
+            k_rad = vec_add(
+                b_rad, vec_add(radius.matvec(vec_abs(m)), gap_mag.matvec(r))
             )
-            offset = IntervalVector([box[i].shift(-mid[i]) for i in range(n)])
-            candidate = _box_shift(_box_add(residual, gap.matvec_box(offset)), mid)
+            candidate = IntervalVector.from_bounds(
+                vec_sub(k_mid, k_rad), vec_add(k_mid, k_rad)
+            )
             new_box = candidate.intersect(box)
         else:
             new_box = _sweep(pre_a, pre_b, box, method == "gauss-seidel")
