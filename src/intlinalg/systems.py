@@ -107,17 +107,21 @@ def _check_system(matrix: IntervalMatrix, rhs: IntervalVector):
         )
 
 
-def is_solution(matrix: IntervalMatrix, rhs: IntervalVector, x: Sequence) -> bool:
-    """Membership in the solution set: |C x - bc| <= R |x| + d, exactly."""
+def _range_rows(
+    matrix: IntervalMatrix, rhs: IntervalVector, x: Sequence
+) -> List[Tuple[Interval, Interval]]:
+    """Pairs of the exact range of (A x)_i over the members and b_i."""
     _check_system(matrix, rhs)
     xs = as_vector(x)
     if len(xs) != matrix.n:
         raise DimensionMismatch("candidate length does not match columns")
-    center, radius = matrix.midpoint_radius()
-    b_mid, b_rad = rhs.midpoint_radius()
-    residual = vec_sub(center.matvec(xs), b_mid)
-    slack = vec_add(radius.matvec(vec_abs(xs)), b_rad)
-    return all(abs(r) <= s for r, s in zip(residual, slack))
+    return list(zip(matrix.matvec_point(xs).entries, rhs.entries))
+
+
+def is_solution(matrix: IntervalMatrix, rhs: IntervalVector, x: Sequence) -> bool:
+    """Membership in the solution set: each row's range of A x meets b_i,
+    which is the Oettli-Prager |C x - b_c| <= R |x| + d."""
+    return all(r.intersect(b) is not None for r, b in _range_rows(matrix, rhs, x))
 
 
 def parametric_witness(system: ParametricSystem, x: Sequence) -> Optional[Vector]:
@@ -731,22 +735,11 @@ def tc_membership(
 ) -> bool:
     """Sign-flipped membership tests: range within rhs (tolerance) or
     rhs within range (control)."""
-    _check_system(matrix, rhs)
-    xs = as_vector(x)
-    if len(xs) != matrix.n:
-        raise DimensionMismatch("candidate length does not match columns")
-    center, radius = matrix.midpoint_radius()
-    b_mid, b_rad = rhs.midpoint_radius()
-    residual = vec_sub(center.matvec(xs), b_mid)
-    spread = radius.matvec(vec_abs(xs))
+    rows = _range_rows(matrix, rhs, x)
     if kind == "tolerance":
-        return all(
-            abs(r) <= -s + d for r, s, d in zip(residual, spread, b_rad)
-        )
+        return all(b.contains_interval(r) for r, b in rows)
     if kind == "control":
-        return all(
-            abs(r) <= s - d for r, s, d in zip(residual, spread, b_rad)
-        )
+        return all(r.contains_interval(b) for r, b in rows)
     raise ValueError(f"unknown membership kind {kind!r}")
 
 
