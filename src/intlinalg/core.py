@@ -62,10 +62,6 @@ class Interval:
         q = rational(value)
         return Interval(q, q)
 
-    @staticmethod
-    def hull_of_pair(a: "Interval", b: "Interval") -> "Interval":
-        return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
-
     @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2

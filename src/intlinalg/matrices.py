@@ -216,11 +216,6 @@ class RealMatrix:
     def is_square(self) -> bool:
         return self.m == self.n
 
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise NotSquare("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.m)), Fraction(0))
-
     def det(self) -> Fraction:
         if not self.is_square():
             raise NotSquare("determinant of a non-square matrix")
@@ -327,9 +322,6 @@ class SignVector:
 
     def __neg__(self) -> "SignVector":
         return SignVector(tuple(-e for e in self.entries))
-
-    def diag(self) -> RealMatrix:
-        return RealMatrix.diag([Fraction(e) for e in self.entries])
 
 
 class IntervalMatrix:
@@ -596,13 +588,6 @@ class IntervalVector:
                 return None
             parts.append(cap)
         return IntervalVector(parts)
-
-    def hull(self, other: "IntervalVector") -> "IntervalVector":
-        if other.dim != self.dim:
-            raise DimensionMismatch("box dimensions differ")
-        return IntervalVector(
-            [Interval.hull_of_pair(e, o) for e, o in zip(self.entries, other.entries)]
-        )
 
     def widths(self) -> Vector:
         return tuple(e.width for e in self.entries)
