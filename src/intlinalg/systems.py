@@ -112,10 +112,7 @@ def _range_rows(
 ) -> List[Tuple[Interval, Interval]]:
     """Pairs of the exact range of (A x)_i over the members and b_i."""
     _check_system(matrix, rhs)
-    xs = as_vector(x)
-    if len(xs) != matrix.n:
-        raise DimensionMismatch("candidate length does not match columns")
-    return list(zip(matrix.matvec_point(xs).entries, rhs.entries))
+    return list(zip(matrix.matvec_point(x).entries, rhs.entries))
 
 
 def is_solution(matrix: IntervalMatrix, rhs: IntervalVector, x: Sequence) -> bool:
