@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from conftest import grid_sample, run_under_optimize
+from conftest import grid_sample, intervals, rationals, run_under_optimize
 from intlinalg import (
     Constraint,
     Interval,
@@ -1683,3 +1683,51 @@ class TestEnclosureTable:
             assert times([[e] for e in b.entries]) == [
                 [Interval(x - r, x + r)] for x, r in zip(xc, q)
             ]
+
+
+@st.composite
+def _square_systems(draw):
+    """Square systems with n <= 4 whose endpoints mix denominators up to 12,
+    with zero, negative and degenerate entries drawn often."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = st.one_of(
+        st.just(Interval.point(0)),
+        rationals(6, 12).map(Interval.point),
+        intervals(6, 12),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    rhs = draw(st.lists(entry, min_size=n, max_size=n))
+    return IntervalMatrix(rows), IntervalVector(rhs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=_square_systems())
+@example(system=(IntervalMatrix([[iv(-1, 1)]]), IntervalVector([iv(1, 1)])))
+@example(
+    system=(
+        IntervalMatrix([[iv(1, 3), iv(0, 0)], [iv(2, 6), iv(0, 0)]]),
+        IntervalVector([iv(0, 0), iv(-1, 2)]),
+    )
+)
+def test_preconditioned_equals_fraction_formula(system):
+    """(p, x_c, q) is (|C^-1| R, C^-1 b_c, |C^-1| d), summed in Fractions
+    entry by entry; a singular midpoint raises PreconditionNotVerifiable."""
+    a, b = system
+    n = a.n
+    center, radius = a.midpoint_radius()
+    b_mid, b_rad = b.midpoint_radius()
+    if center.det() == 0:
+        with pytest.raises(PreconditionNotVerifiable):
+            _preconditioned(a, b)
+        return
+    inv = center.inverse().rows
+    mag = [[abs(v) for v in row] for row in inv]
+
+    def times(rows, x):
+        return tuple(sum((rows[i][k] * x[k] for k in range(n)), F(0)) for i in range(n))
+
+    p = RealMatrix(
+        [[sum((mag[i][k] * radius.rows[k][j] for k in range(n)), F(0)) for j in range(n)]
+         for i in range(n)]
+    )
+    assert tuple(_preconditioned(a, b)[:3]) == (p, times(inv, b_mid), times(mag, b_rad))
