@@ -541,3 +541,7 @@ def run(argv: Sequence[str], out: TextIO = sys.stdout) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -21,14 +21,13 @@ from .errors import (
     NotPositiveVector,
     NotSquare,
     NotSymmetric,
-    SingularMatrix,
     SizeGuardExceeded,
     UnsupportedClass,
     ZeroVector,
 )
 from .lp import oettli_prager_member
 from .matrices import IntervalMatrix, IntervalVector, RealMatrix, SignVector, Vector
-from .regularity import is_regular_exact
+from .regularity import is_regular_exact, regularity_sufficient
 from .spectral import (
     DEFAULT_TOL,
     _positive_tol,
@@ -36,7 +35,6 @@ from .spectral import (
     is_positive_semidefinite_real,
     spectral_radius,
     sym_eigen_range as point_eigen_range,
-    rho_less_than,
 )
 
 VERTEX_PD_GUARD = 12
@@ -348,11 +346,8 @@ def strong_pd(
     if mode == "sufficient-2":
         if not is_positive_definite_real(center).is_proven:
             return Verdict.unknown("midpoint is not positive definite")
-        try:
-            inv = center.inverse()
-        except SingularMatrix:
-            return Verdict.unknown("midpoint not invertible")
-        if rho_less_than(inv.abs() @ radius, 1):
+        # a positive definite midpoint is invertible
+        if regularity_sufficient(sym.base, 1).is_proven:
             return Verdict.proven("midpoint PD and contraction certified")
         return Verdict.unknown("contraction condition fails")
     if mode == "vertex-exact":

@@ -14,6 +14,7 @@ from typing import List, Tuple
 from .core import Interval, rational
 from .errors import PivotContainsZero
 from .matrices import IntervalMatrix, IntervalVector, RealMatrix
+from .regularity import regularity_sufficient
 from .spectral import rho_less_than
 
 MATRIX_CLASSES = ("general", "bidiagonal", "mmatrix", "symmetric")
@@ -140,7 +141,7 @@ def gen_regular_matrix(n: int, seed: int, shrink=Fraction(1, 2)) -> IntervalMatr
     if row_sum > 0:
         scaled = scaled.scale(shrink / row_sum)
     matrix = IntervalMatrix.from_midpoint_radius(center, scaled)
-    if not rho_less_than(center.inverse().abs() @ scaled, 1):
+    if not regularity_sufficient(matrix, 1).is_proven:
         raise AssertionError("the scaled radius fails rho(|C^-1| R) < 1")
     return matrix
 
@@ -205,9 +206,7 @@ def well_conditioned_system(
         )
         matrix = IntervalMatrix.from_midpoint_radius(center, rad)
         rhs = gen_rhs(n, attempt, Fraction(1, 4))
-        ok = center.det() != 0 and rho_less_than(
-            center.inverse().abs() @ rad, 1
-        )
+        ok = regularity_sufficient(matrix, 1).is_proven
         if ok:
             try:
                 _interval_gauss_elimination(matrix, rhs)

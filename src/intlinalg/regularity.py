@@ -8,11 +8,18 @@ kernel witness, and a concrete singular member matrix.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
 from .core import Certificate, Decision, Verdict
-from .errors import NotSquare, PreconditionViolated, ShapeError, SingularMatrix
+from .errors import (
+    NotSquare,
+    PreconditionNotVerifiable,
+    PreconditionViolated,
+    ShapeError,
+    SingularMatrix,
+)
 from .lp import (
     GEQ,
     Constraint,
@@ -20,7 +27,16 @@ from .lp import (
     feasible_orthants,
     oettli_prager_member,
 )
-from .matrices import IntervalMatrix, RealMatrix, SignVector
+from .matrices import (
+    IntervalMatrix,
+    IntervalVector,
+    RealMatrix,
+    SignVector,
+    Vector,
+    _reduce,
+    bareiss_pivot,
+    integer_rows,
+)
 from .spectral import (
     DEFAULT_TOL,
     _positive_tol,
@@ -31,6 +47,58 @@ from .spectral import (
     sqrt_up,
     sym_eigen_range,
 )
+
+
+def _preconditioned(
+    matrix: IntervalMatrix, rhs: IntervalVector
+) -> Tuple[RealMatrix, Vector, Vector, Optional[Vector]]:
+    """(p, x_c, q, u) = (|C^-1| R, C^-1 b_c, |C^-1| d, (I - p)^-1 (|x_c| + q))
+    for the midpoint C of a square system, in integers; u bounds |x| on the
+    solution set of C^-1 A x = C^-1 b = [I - p, I + p] x = [x_c - q, x_c + q],
+    and is None when Beeck's rho(p) < 1 is not provable.
+
+    Row i of [A | b] times 2 L_i, L_i the lcm of its endpoint denominators,
+    gives M = D C, N = D R, D b_c and D d.  Gauss-Jordan on [M | I] gives
+    M^-1 = K / k, so C^-1 = K D / k.  As p >= 0, rho(p) < 1 exactly when
+    every leading minor of k I - |K| N = k (I - p) is positive.
+    """
+    n = matrix.n
+    ends, _ = integer_rows(
+        [v for e in row + (b,) for v in (e.lo, e.hi)]
+        for row, b in zip(matrix.entries, rhs.entries)
+    )
+    # L_i (lo + hi) and L_i (hi - lo) are 2 L_i times midpoint and radius
+    mid = [[lo + hi for lo, hi in zip(row[::2], row[1::2])] for row in ends]
+    rad = [[hi - lo for lo, hi in zip(row[::2], row[1::2])] for row in ends]
+    b_mid = [row.pop() for row in mid]
+    b_rad = [row.pop() for row in rad]
+    tableau = [row + [int(i == j) for j in range(n)] for i, row in enumerate(mid)]
+    k, _, rank = _reduce(tableau, n)
+    if rank < n:
+        raise PreconditionNotVerifiable("midpoint matrix is not invertible")
+    inv = [row[n:] for row in tableau]
+    mag = [[abs(v) for v in row] for row in inv]
+    p = [[sum(map(operator.mul, r, c)) for c in zip(*rad)] for r in mag]
+    xc = [sum(map(operator.mul, r, b_mid)) for r in inv]
+    q = [sum(map(operator.mul, r, b_rad)) for r in mag]
+    # [k (I - p) | k (|x_c| + q)], pivoted on its diagonal while the pivots,
+    # its leading minors, stay positive
+    bound = [
+        [k * (i == j) - v for j, v in enumerate(row)] + [abs(x) + y]
+        for i, (row, x, y) in enumerate(zip(p, xc, q))
+    ]
+    d = 1
+    for j in range(n):
+        if bound[j][j] <= 0:
+            d = 0
+            break
+        d = bareiss_pivot(bound, j, j, d)
+    return (
+        RealMatrix([[Fraction(v, k) for v in row] for row in p]),
+        tuple(Fraction(v, k) for v in xc),
+        tuple(Fraction(v, k) for v in q),
+        tuple(Fraction(row[n], d) for row in bound) if d else None,
+    )
 
 
 def _kernel_decision(matrix: IntervalMatrix) -> Decision:
@@ -78,15 +146,17 @@ def regularity_sufficient(
     tol = _positive_tol(tol)
     if not matrix.is_square():
         raise NotSquare("regularity is defined for square interval matrices")
-    center, radius = matrix.midpoint_radius()
     if cond == 1:
+        # Beeck's rho(|C^-1| R) < 1, from the kernel with b = 0
+        zero = IntervalVector.degenerate((0,) * matrix.n)
         try:
-            inv = center.inverse()
-        except SingularMatrix:
+            u = _preconditioned(matrix, zero)[3]
+        except PreconditionNotVerifiable:
             return Verdict.unknown("midpoint matrix is singular")
-        if rho_less_than(inv.abs() @ radius, 1):
+        if u is not None:
             return Verdict.proven("spectral radius of |C^-1| R below one")
         return Verdict.unknown("spectral radius condition fails")
+    center, radius = matrix.midpoint_radius()
     if cond == 2:
         return _sigma_gap_verdict(center, radius, tol)
     if cond == 3:

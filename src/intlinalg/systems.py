@@ -54,8 +54,7 @@ from .matrices import (
     vec_add,
     vec_sub,
 )
-from .regularity import has_full_column_rank_exact
-from .spectral import rho_less_than
+from .regularity import _preconditioned, has_full_column_rank_exact
 
 @dataclass
 class SolveReport:
@@ -316,35 +315,10 @@ def monotone_hull(matrix: IntervalMatrix, rhs: IntervalVector) -> IntervalVector
 # enclosure methods
 
 
-def _preconditioned(
-    matrix: IntervalMatrix, rhs: IntervalVector
-) -> Tuple[RealMatrix, Vector, Vector]:
-    """(p, x_c, q) = (|C^-1| R, C^-1 b_c, |C^-1| d) for the midpoint C.
-
-    C^-1 C = I exactly, so the preconditioned system C^-1 A x = C^-1 b is
-    [I - p, I + p] x = [x_c - q, x_c + q].
-    """
-    center, radius = matrix.midpoint_radius()
-    b_mid, b_rad = rhs.midpoint_radius()
-    try:
-        inv = center.inverse()
-    except SingularMatrix:
-        raise PreconditionNotVerifiable("midpoint matrix is not invertible")
-    mag = inv.abs()
-    return mag @ radius, inv.matvec(b_mid), mag.matvec(b_rad)
-
-
-def _contraction_bound(p: RealMatrix, xc: Vector, q: Vector) -> Optional[Vector]:
-    """u = (I - p)^-1 (|x_c| + q), which bounds |x| on the solution set;
-    None when rho(p) < 1 is not provable."""
-    if not rho_less_than(p, 1):
-        return None
-    return (RealMatrix.identity(p.n) - p).inverse().matvec(vec_add(vec_abs(xc), q))
-
-
-def _auto_initial(p: RealMatrix, xc: Vector, q: Vector) -> IntervalVector:
-    """Rigorous starting box when rho(|C^-1| R) < 1 is provable."""
-    u = _contraction_bound(p, xc, q)
+def _auto_initial(
+    p: RealMatrix, xc: Vector, q: Vector, u: Optional[Vector]
+) -> IntervalVector:
+    """Rigorous starting box from ``_preconditioned``'s (p, x_c, q, u)."""
     if u is None:
         raise NoInitialEnclosure(
             "no starting box: rho(|C^-1| R) < 1 not provable and none supplied"
@@ -451,17 +425,22 @@ def _iterate(
         if opts.initial is None:
             raise NoInitialEnclosure("unpreconditioned iteration needs a start box")
         pre_a, pre_b, box = matrix, rhs, opts.initial
+        if method == "krawczyk":
+            center, radius = matrix.midpoint_radius()
+            b_mid, b_rad = rhs.midpoint_radius()
     else:
-        p, xc, q = _preconditioned(matrix, rhs)
+        # C^-1 A x = C^-1 b is [I - p, I + p] x = [x_c - q, x_c + q]
+        p, xc, q, u = _preconditioned(matrix, rhs)
+        box = opts.initial if opts.initial is not None else _auto_initial(p, xc, q, u)
         eye = RealMatrix.identity(n)
-        pre_a = IntervalMatrix.from_bounds(eye - p, eye + p)
-        pre_b = IntervalVector.from_bounds(vec_sub(xc, q), vec_add(xc, q))
-        box = opts.initial if opts.initial is not None else _auto_initial(p, xc, q)
+        if method == "krawczyk":
+            center, radius, b_mid, b_rad = eye, p, xc, q
+        else:
+            pre_a = IntervalMatrix.from_bounds(eye - p, eye + p)
+            pre_b = IntervalVector.from_bounds(vec_sub(xc, q), vec_add(xc, q))
     if method == "krawczyk":
         # with x - m = [-r, r], K(x) = m + (b - A m) + (I - A)(x - m) is the
         # box of midpoint m + b_c - A_c m and radius b_r + R |m| + |I - A| r
-        center, radius = pre_a.midpoint_radius()
-        b_mid, b_rad = pre_b.midpoint_radius()
         gap_mag = (RealMatrix.identity(n) - center).abs() + radius
     elif any(pre_a[i, i].contains_zero() for i in range(n)):
         raise PivotContainsZero("a preconditioned diagonal entry contains zero")
@@ -488,9 +467,10 @@ def _iterate(
     return SolveReport(box, method, False, iterations, False, converged=False)
 
 
-def _hbr_enclosure(p: RealMatrix, xc: Vector, q: Vector) -> SolveReport:
+def _hbr_enclosure(
+    p: RealMatrix, xc: Vector, q: Vector, xstar: Optional[Vector]
+) -> SolveReport:
     """Closed-form enclosure under the proven contraction rho(|C^-1| R) < 1."""
-    xstar = _contraction_bound(p, xc, q)
     if xstar is None:
         raise PreconditionNotVerifiable("rho(|C^-1| R) < 1 is not provable")
     lo = []

@@ -402,3 +402,30 @@ def test_reused_parser_matches_fresh_calls(files):
     together = run_in_one_process(argvs)
     assert [rc for rc, _, _ in together] == [1, 0, 0]
     assert together == [run_in_one_process([argv])[0] for argv in argvs]
+
+
+@pytest.mark.parametrize("module", ["intlinalg", "intlinalg.cli"])
+@pytest.mark.parametrize("method", ["hbr", "no-such-method"])
+def test_python_m_runs_the_command_line(tmp_path, module, method):
+    """``python -m`` prints the lines ``cli.run`` prints and exits with its
+    code; a bad --method is a usage error, exit 1."""
+    a, b = well_conditioned_system(3, 0)
+    (tmp_path / "A.imx").write_text(format_imx(a))
+    (tmp_path / "b.imx").write_text(format_imx_vector(b))
+    argv = ["solve", str(tmp_path / "A.imx"), str(tmp_path / "b.imx"), "--method", method]
+    buf = io.StringIO()
+    code = run(argv, out=buf)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+    def lines(text):
+        return [l for l in text.splitlines() if not l.startswith("time_ms=")]
+
+    assert (done.returncode, lines(done.stdout)) == (code, lines(buf.getvalue()))
+    assert code == (0 if method == "hbr" else 1)

@@ -66,6 +66,8 @@ from intlinalg.systems import (
     monotone_hull,
     parametric_witness,
 )
+from intlinalg.matrices import vec_abs, vec_add
+from intlinalg.spectral import rho_less_than
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -869,10 +871,9 @@ def test_starting_box_check_raises_under_optimize():
     code = (
         "from fractions import Fraction\n"
         "from intlinalg import RealMatrix, systems\n"
-        "systems._contraction_bound = lambda *args: (Fraction(1),)\n"
         "try:\n"
         "    systems._auto_initial(\n"
-        "        RealMatrix([[0]]), (Fraction(100),), (Fraction(0),))\n"
+        "        RealMatrix([[0]]), (Fraction(100),), (Fraction(0),), (Fraction(1),))\n"
         "except AssertionError:\n"
         "    print('raised')\n"
     )
@@ -1652,7 +1653,8 @@ class TestEnclosureTable:
     @pytest.mark.parametrize("family", ["well", "mmatrix", "general"])
     def test_preconditioned_system_equals_interval_products(self, family):
         """[I - p, I + p] and [x_c - q, x_c + q] equal C^-1 A and C^-1 b
-        summed term by term as intervals, sum_k c_ik [A]_kj."""
+        summed term by term as intervals, sum_k c_ik [A]_kj; u solves
+        (I - p) u = |x_c| + q when rho(p) < 1 holds, and is None otherwise."""
         for n in range(1, 5):
             a, b = _system(family, n)
             center, _ = a.midpoint_radius()
@@ -1672,7 +1674,11 @@ class TestEnclosureTable:
                     for i in range(n)
                 ]
 
-            p, xc, q = _preconditioned(a, b)
+            p, xc, q, u = _preconditioned(a, b)
+            if rho_less_than(p, 1):
+                assert (RealMatrix.identity(n) - p).matvec(u) == vec_add(vec_abs(xc), q)
+            else:
+                assert u is None
             assert times(a.entries) == [
                 [
                     Interval((i == j) - p.rows[i][j], (i == j) + p.rows[i][j])
