@@ -1717,7 +1717,8 @@ def _square_systems(draw):
 )
 def test_preconditioned_equals_fraction_formula(system):
     """(p, x_c, q) is (|C^-1| R, C^-1 b_c, |C^-1| d), summed in Fractions
-    entry by entry; a singular midpoint raises PreconditionNotVerifiable."""
+    entry by entry, and u solves (I - p) u = |x_c| + q exactly when
+    rho(p) < 1; a singular midpoint raises PreconditionNotVerifiable."""
     a, b = system
     n = a.n
     center, radius = a.midpoint_radius()
@@ -1736,4 +1737,9 @@ def test_preconditioned_equals_fraction_formula(system):
         [[sum((mag[i][k] * radius.rows[k][j] for k in range(n)), F(0)) for j in range(n)]
          for i in range(n)]
     )
-    assert tuple(_preconditioned(a, b)[:3]) == (p, times(inv, b_mid), times(mag, b_rad))
+    out = _preconditioned(a, b)
+    assert tuple(out[:3]) == (p, times(inv, b_mid), times(mag, b_rad))
+    if rho_less_than(p, 1):
+        assert (RealMatrix.identity(n) - p).matvec(out[3]) == vec_add(vec_abs(out[1]), out[2])
+    else:
+        assert out[3] is None
