@@ -96,6 +96,21 @@ def _reduce(rows: List[List[int]], ncols: int) -> Tuple[int, int, int]:
     return d, sign, rank
 
 
+def _positive_pivots(rows: List[List[int]], n: int) -> int:
+    """Pivot integer ``rows`` on their first n diagonal entries while each is
+    positive; returns the last pivot, or 0 at the first that is not.
+
+    With all earlier pivots positive, the pivot of column k is the leading
+    minor of order k + 1 of the starting rows.
+    """
+    d = 1
+    for k in range(n):
+        if rows[k][k] <= 0:
+            return 0
+        d = bareiss_pivot(rows, k, k, d)
+    return d
+
+
 class RealMatrix:
     """Immutable m x n matrix of exact rationals."""
 
@@ -255,15 +270,8 @@ class RealMatrix:
         """True iff every leading principal minor is > 0 (exact)."""
         if not self.is_square():
             raise NotSquare("leading minors of a non-square matrix")
-        rows, _ = integer_rows(self.rows)
-        d = 1
-        for k in range(self.n):
-            # with all earlier pivots positive, the pivot entry is the leading
-            # minor of order k + 1 of the rows, each scaled by a positive integer
-            if rows[k][k] <= 0:
-                return False
-            d = bareiss_pivot(rows, k, k, d)
-        return True
+        # scaling a row by a positive integer keeps the sign of every minor
+        return _positive_pivots(integer_rows(self.rows)[0], self.n) > 0
 
     def _check_same_shape(self, other: "RealMatrix"):
         if self.shape != other.shape:

@@ -33,8 +33,8 @@ from .matrices import (
     RealMatrix,
     SignVector,
     Vector,
+    _positive_pivots,
     _reduce,
-    bareiss_pivot,
     integer_rows,
 )
 from .spectral import (
@@ -81,18 +81,12 @@ def _preconditioned(
     p = [[sum(map(operator.mul, r, c)) for c in zip(*rad)] for r in mag]
     xc = [sum(map(operator.mul, r, b_mid)) for r in inv]
     q = [sum(map(operator.mul, r, b_rad)) for r in mag]
-    # [k (I - p) | k (|x_c| + q)], pivoted on its diagonal while the pivots,
-    # its leading minors, stay positive
+    # [k (I - p) | k (|x_c| + q)]
     bound = [
         [k * (i == j) - v for j, v in enumerate(row)] + [abs(x) + y]
         for i, (row, x, y) in enumerate(zip(p, xc, q))
     ]
-    d = 1
-    for j in range(n):
-        if bound[j][j] <= 0:
-            d = 0
-            break
-        d = bareiss_pivot(bound, j, j, d)
+    d = _positive_pivots(bound, n)
     return (
         RealMatrix([[Fraction(v, k) for v in row] for row in p]),
         tuple(Fraction(v, k) for v in xc),
