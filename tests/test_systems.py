@@ -61,12 +61,14 @@ from intlinalg.generate import (
 from intlinalg.matrices import SignVector
 from intlinalg.oracles import vertex_matvec_hull
 from intlinalg.systems import (
+    SolveReport,
     _preconditioned,
+    _sweep,
     is_interval_m_matrix,
     monotone_hull,
     parametric_witness,
 )
-from intlinalg.matrices import vec_abs, vec_add
+from intlinalg.matrices import vec_abs, vec_add, vec_sub
 from intlinalg.spectral import rho_less_than
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -946,6 +948,7 @@ def _route(name, a, b):
     opts = {
         "": SolveOptions(),
         "unpreconditioned": SolveOptions(precondition=False, initial=start, max_iter=15),
+        "start": SolveOptions(initial=start, max_iter=15),
         "preconditioned": SolveOptions(precondition=True, initial=start, max_iter=15),
         "max_iter=3": SolveOptions(max_iter=3),
         "far": SolveOptions(precondition=True, initial=far, max_iter=15),
@@ -992,6 +995,12 @@ def _outcomes(key):
         return {
             m: _outcome(lambda: lsq_enclosure(a, b, m))
             for m in ("krawczyk", "gauss-seidel")
+        }
+    if kind == "wide":
+        a, b = gen_interval_matrix(n, n, 2, 1), gen_rhs(n, 2, 1)
+        return {
+            name: _outcome(lambda: _route(name, a, b))
+            for name in ("jacobi:start", "gauss-seidel:start")
         }
     a, b = _system("well" if kind == "inverse" else kind, n)
     if kind == "inverse":
@@ -1637,6 +1646,10 @@ ENCLOSURE_TABLE = {
         "jacobi:far": "jacobi it=1 insolvable",
         "gauss-seidel:far": "gauss-seidel it=1 insolvable",
     },
+    "wide-2": {
+        "jacobi:start": "PivotContainsZero",
+        "gauss-seidel:start": "PivotContainsZero",
+    },
 }
 
 
@@ -1644,7 +1657,9 @@ class TestEnclosureTable:
     """Every enclosure route on seeded n = 1..4 systems, pinned as
     literals: the method, the iteration count, the flags and the box (or
     the error type).  Well-conditioned, M-matrix and general (radius 1/2)
-    systems; least squares and inverse enclosures on small ones."""
+    systems; least squares and inverse enclosures on small ones; and the
+    preconditioned Jacobi and Gauss-Seidel on a radius-1 system with
+    p_ii >= 1 from the start box [-4, 4]^2, which raise PivotContainsZero."""
 
     @pytest.mark.parametrize("key", sorted(ENCLOSURE_TABLE))
     def test_outcomes_match_table(self, key):
@@ -1743,3 +1758,110 @@ def test_preconditioned_equals_fraction_formula(system):
         assert (RealMatrix.identity(n) - p).matvec(out[3]) == vec_add(vec_abs(out[1]), out[2])
     else:
         assert out[3] is None
+
+
+def _referee_iteration(a, b, method, start, max_iter):
+    """The preconditioned iteration run on the interval system
+    [I - p, I + p] x = [x_c - q, x_c + q] itself: ``_sweep`` for Jacobi and
+    Gauss-Seidel, and for Krawczyk the general midpoint-radius formula with
+    centre I and radius p."""
+    n = a.n
+    p, xc, q, _ = _preconditioned(a, b)
+    eye = RealMatrix.identity(n)
+    pre_a = IntervalMatrix.from_bounds(eye - p, eye + p)
+    pre_b = IntervalVector.from_bounds(vec_sub(xc, q), vec_add(xc, q))
+    if method != "krawczyk" and any(pre_a[i, i].contains_zero() for i in range(n)):
+        raise PivotContainsZero("a preconditioned diagonal entry contains zero")
+    gap_mag = (eye - eye).abs() + p
+    box = start
+    for iterations in range(1, max_iter + 1):
+        if method == "krawczyk":
+            m, r = box.midpoint_radius()
+            k_mid = vec_add(m, vec_sub(xc, eye.matvec(m)))
+            k_rad = vec_add(q, vec_add(p.matvec(vec_abs(m)), gap_mag.matvec(r)))
+            new = IntervalVector.from_bounds(
+                vec_sub(k_mid, k_rad), vec_add(k_mid, k_rad)
+            ).intersect(box)
+        else:
+            new = _sweep(pre_a, pre_b, box, method == "gauss-seidel")
+        if new is None:
+            return SolveReport(None, method, False, iterations, True)
+        if new == box:
+            return SolveReport(new, method, False, iterations, False)
+        box = new
+    return SolveReport(box, method, False, max_iter, False, converged=False)
+
+
+def _report_or_error(call):
+    """Every SolveReport field, or the type and text of the error raised."""
+    try:
+        return vars(call())
+    except PreconditionError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def _started_systems(draw):
+    """A square system whose diagonal is shifted by 0 to 24, so that
+    p_ii >= 1, rho(p) >= 1 and rho(p) < 1 all come up, a start box (centred
+    on 0, or drawn anywhere, so that it often empties) and an iteration cap
+    of 1 to 4."""
+    a, b = draw(_square_systems())
+    shifts = draw(st.lists(st.integers(0, 24), min_size=a.n, max_size=a.n))
+    a = IntervalMatrix(
+        [
+            [e.shift(shifts[i]) if i == j else e for j, e in enumerate(row)]
+            for i, row in enumerate(a.entries)
+        ]
+    )
+    start = draw(
+        st.one_of(
+            st.integers(1, 60).map(
+                lambda w: IntervalVector.from_bounds([-w] * a.n, [w] * a.n)
+            ),
+            st.lists(intervals(60, 4), min_size=a.n, max_size=a.n).map(IntervalVector),
+        )
+    )
+    return a, b, start, draw(st.integers(min_value=1, max_value=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_started_systems())
+@example(
+    case=(
+        gen_interval_matrix(2, 2, 2, 1),
+        gen_rhs(2, 2, 1),
+        IntervalVector.from_bounds([-4, -4], [4, 4]),
+        3,
+    )
+)
+@example(
+    case=(
+        *well_conditioned_system(3, 0),
+        IntervalVector.from_bounds([-9, -9, -9], [9, 9, 9]),
+        1,
+    )
+)
+@example(
+    case=(
+        *well_conditioned_system(2, 0),
+        IntervalVector.from_bounds([50, 50], [51, 51]),
+        4,
+    )
+)
+def test_preconditioned_iteration_equals_interval_system(case):
+    """Jacobi, Gauss-Seidel and Krawczyk with the default preconditioning
+    and with precondition=True give every SolveReport field (or error) of
+    the referee iteration on [I - p, I + p] x = [x_c - q, x_c + q]; the
+    Gauss-Seidel M-matrix route, which does not iterate, is left out."""
+    a, b, start, max_iter = case
+    for method in ITERATIVE:
+        want = _report_or_error(
+            lambda: _referee_iteration(a, b, method, start, max_iter)
+        )
+        for precondition in (None, True):
+            if precondition is None and method == "gauss-seidel" and is_interval_m_matrix(a):
+                continue
+            opts = SolveOptions(initial=start, max_iter=max_iter, precondition=precondition)
+            got = _report_or_error(lambda: enclosure(a, b, method, opts))
+            assert got == want, (method, precondition)
