@@ -50,6 +50,7 @@ from .matrices import (
     RealMatrix,
     SignVector,
     Vector,
+    integer_rows,
     vec_abs,
     vec_add,
     vec_sub,
@@ -318,15 +319,14 @@ def monotone_hull(matrix: IntervalMatrix, rhs: IntervalVector) -> IntervalVector
 def _auto_initial(
     p: RealMatrix, xc: Vector, q: Vector, u: Optional[Vector]
 ) -> IntervalVector:
-    """Rigorous starting box from ``_preconditioned``'s (p, x_c, q, u)."""
+    """Rigorous starting box from ``_preconditioned``'s (p, x_c, q, u): the
+    box [-u, u] after one Krawczyk step, [x_c - p u - q, x_c + p u + q]."""
     if u is None:
         raise NoInitialEnclosure(
             "no starting box: rho(|C^-1| R) < 1 not provable and none supplied"
         )
     box = IntervalVector.from_bounds(tuple(-v for v in u), u)
-    spread = vec_add(p.matvec(u), q)  # |C^-1| (R u + d)
-    centered = IntervalVector.from_bounds(vec_sub(xc, spread), vec_add(xc, spread))
-    tight = box.intersect(centered)
+    tight = _preconditioned_step(p, xc, q, box, "krawczyk")
     if tight is None:
         raise AssertionError("two boxes that hold the solution set do not meet")
     return tight
@@ -411,54 +411,75 @@ def _sweep(
     return IntervalVector(new)
 
 
+def _preconditioned_step(
+    p: RealMatrix, xc: Vector, q: Vector, box: IntervalVector, method: str
+) -> Optional[IntervalVector]:
+    """Step on [I - p, I + p] x = [x_c - q, x_c + q] from (p, x_c, q) and |x|,
+    as [-p_ij, p_ij] x_j = [-1, 1] p_ij |x_j|: x_i meets x_c,i + [-s_i, s_i],
+    s_i = q_i + sum_j p_ij |x_j| (Krawczyk), or that over [1 - p_ii, 1 + p_ii]
+    with j != i (Jacobi; Gauss-Seidel reads the updated |x_j|); None if empty."""
+    divide = method != "krawczyk"
+    rows, scales = integer_rows(p.rows)  # p_ij = rows[i][j] / scales[i]
+    new = list(box.entries)
+    mags = [e.mag for e in new]
+    for i, (row, h) in enumerate(zip(rows, scales)):
+        if i == 0 or method == "gauss-seidel":
+            (ints,), (k,) = integer_rows([mags])  # |x_j| = ints[j] / k
+        t = sum(map(int.__mul__, row, ints)) - divide * row[i] * ints[i]
+        s = q[i] + Fraction(t, h * k)
+        lo, hi = xc[i] - s, xc[i] + s
+        if divide:  # times [1 / (1 + p_ii), 1 / (1 - p_ii)], which is > 0
+            d = p.rows[i][i]
+            lo, hi = lo / (1 + d if lo >= 0 else 1 - d), hi / (1 - d if hi >= 0 else 1 + d)
+        new[i] = Interval(lo, hi).intersect(new[i])
+        if new[i] is None:
+            return None
+        mags[i] = new[i].mag
+    return IntervalVector(new)
+
+
 def _iterate(
-    matrix: IntervalMatrix,
-    rhs: IntervalVector,
-    opts: SolveOptions,
-    method: str,
+    matrix: IntervalMatrix, rhs: IntervalVector, opts: SolveOptions, method: str
 ) -> SolveReport:
-    """Preconditioned Jacobi / Gauss-Seidel / Krawczyk iteration."""
+    """Jacobi / Gauss-Seidel / Krawczyk: preconditioned, ``_preconditioned_step``
+    on the (p, x_c, q) of ``_preconditioned``; with precondition=False (a start
+    box is required), ``_sweep`` on [A] x = [b] or the general Krawczyk."""
     if not matrix.is_square():
         raise NotSquare("iterative methods need a square matrix")
     n = matrix.n
     if opts.precondition is False:
         if opts.initial is None:
             raise NoInitialEnclosure("unpreconditioned iteration needs a start box")
-        pre_a, pre_b, box = matrix, rhs, opts.initial
+        box = opts.initial
         if method == "krawczyk":
             center, radius = matrix.midpoint_radius()
             b_mid, b_rad = rhs.midpoint_radius()
+            # with x - m = [-r, r], K(x) = m + (b - A m) + (I - A)(x - m) is the
+            # box of midpoint m + b_c - A_c m and radius b_r + R |m| + |I - A| r
+            gap_mag = (RealMatrix.identity(n) - center).abs() + radius
+        elif any(matrix[i, i].contains_zero() for i in range(n)):
+            raise PivotContainsZero("a diagonal entry contains zero")
     else:
-        # C^-1 A x = C^-1 b is [I - p, I + p] x = [x_c - q, x_c + q]
         p, xc, q, u = _preconditioned(matrix, rhs)
         box = opts.initial if opts.initial is not None else _auto_initial(p, xc, q, u)
-        eye = RealMatrix.identity(n)
-        if method == "krawczyk":
-            center, radius, b_mid, b_rad = eye, p, xc, q
-        else:
-            pre_a = IntervalMatrix.from_bounds(eye - p, eye + p)
-            pre_b = IntervalVector.from_bounds(vec_sub(xc, q), vec_add(xc, q))
-    if method == "krawczyk":
-        # with x - m = [-r, r], K(x) = m + (b - A m) + (I - A)(x - m) is the
-        # box of midpoint m + b_c - A_c m and radius b_r + R |m| + |I - A| r
-        gap_mag = (RealMatrix.identity(n) - center).abs() + radius
-    elif any(pre_a[i, i].contains_zero() for i in range(n)):
-        raise PivotContainsZero("a preconditioned diagonal entry contains zero")
+        if method != "krawczyk" and any(p.rows[i][i] >= 1 for i in range(n)):
+            raise PivotContainsZero("a preconditioned diagonal entry contains zero")
     iterations = 0
     while iterations < opts.max_iter:
         iterations += 1
-        if method == "krawczyk":
+        if opts.precondition is not False:
+            new_box = _preconditioned_step(p, xc, q, box, method)
+        elif method == "krawczyk":
             m, r = box.midpoint_radius()
             k_mid = vec_add(m, vec_sub(b_mid, center.matvec(m)))
             k_rad = vec_add(
                 b_rad, vec_add(radius.matvec(vec_abs(m)), gap_mag.matvec(r))
             )
-            candidate = IntervalVector.from_bounds(
+            new_box = IntervalVector.from_bounds(
                 vec_sub(k_mid, k_rad), vec_add(k_mid, k_rad)
-            )
-            new_box = candidate.intersect(box)
+            ).intersect(box)
         else:
-            new_box = _sweep(pre_a, pre_b, box, method == "gauss-seidel")
+            new_box = _sweep(matrix, rhs, box, method == "gauss-seidel")
         if new_box is None:
             return SolveReport(None, method, False, iterations, True)
         if new_box == box:

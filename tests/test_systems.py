@@ -219,6 +219,28 @@ class TestEnclosureMethods:
             IntervalVector([Interval(F(1, 2), F(2))])
         )
 
+    @pytest.mark.parametrize("method", ["jacobi", "gauss-seidel"])
+    def test_pivot_messages(self, method):
+        """Preconditioned, the error names the diagonal of C^-1 A (here
+        p_11 > 1); with precondition=False, the diagonal of A itself."""
+        start = IntervalVector.from_bounds([-4, -4], [4, 4])
+        with pytest.raises(
+            PivotContainsZero, match="^a preconditioned diagonal entry contains zero$"
+        ):
+            enclosure(
+                gen_interval_matrix(2, 2, 2, 1),
+                gen_rhs(2, 2, 1),
+                method,
+                SolveOptions(initial=start),
+            )
+        with pytest.raises(PivotContainsZero, match="^a diagonal entry contains zero$"):
+            enclosure(
+                IntervalMatrix([[iv(2, 3), iv(1, 1)], [iv(1, 1), iv(-1, 1)]]),
+                IntervalVector([iv(1, 1), iv(0, 1)]),
+                method,
+                SolveOptions(precondition=False, initial=start),
+            )
+
     def test_max_iter_guard_reports_nonconvergence(self):
         a, b = well_conditioned_system(2, 77)
         report = enclosure(a, b, "krawczyk", SolveOptions(max_iter=1))
