@@ -425,7 +425,7 @@ def _preconditioned_step(
     for i, (row, h) in enumerate(zip(rows, scales)):
         if i == 0 or method == "gauss-seidel":
             (ints,), (k,) = integer_rows([mags])  # |x_j| = ints[j] / k
-        t = sum(map(int.__mul__, row, ints)) - divide * row[i] * ints[i]
+        t = sum(map(int.__mul__, row, ints)) - (row[i] * ints[i] if divide else 0)
         s = q[i] + Fraction(t, h * k)
         lo, hi = xc[i] - s, xc[i] + s
         if divide:  # times [1 / (1 + p_ii), 1 / (1 - p_ii)], which is > 0
