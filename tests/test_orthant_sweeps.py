@@ -8,10 +8,14 @@ that ``generate`` does not produce.  Certificates are re-checked here with
 plain rational arithmetic, sharing no code with the deciders.
 """
 
+import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from conftest import interval_matrices, interval_vectors
 from intlinalg import (
     Interval,
     IntervalMatrix,
@@ -27,6 +31,9 @@ from intlinalg import (
     vertex_system_hull,
 )
 from intlinalg import generate
+from intlinalg.lp import GEQ, LEQ, Constraint, LinearProgram, lp_feasible, lp_optimize
+from intlinalg.matrices import SignVector
+from test_lp import _oettli_prager_formula, _times
 
 
 def F(a, b=1):
@@ -292,3 +299,166 @@ def test_hull_exact_table(instance, empty):
         assert report.box is None
     else:
         assert report.box == vertex_system_hull(matrix, rhs)
+
+
+# -- the per-orthant programs, rebuilt here as a referee ---------------------
+#
+# Each sweep decider once built, per orthant s, the rows of the Oettli-Prager
+# formula in D_s times L, with the sign bounds s_j x_j >= 0, and asked
+# ``lp_feasible``.  The loop below rebuilds exactly those programs from
+# ``_oettli_prager_formula``, so the first feasible orthant and its exact
+# witness (not just the answer) must match each decider's certificate, and
+# the 2n optima per feasible orthant must give ``hull_exact``'s box.
+
+
+def _lcm(*groups):
+    """The least common multiple of the denominators of every number in
+    ``groups``."""
+    return math.lcm(*(Fraction(q).denominator for g in groups for q in g))
+
+
+def _ends(matrix):
+    return [q for row in matrix.entries for e in row for q in (e.lo, e.hi)]
+
+
+def _orthant_program(rows, s, objective=None):
+    bounds = tuple((0, None) if e > 0 else (None, 0) for e in s)
+    return LinearProgram(objective or (0,) * s.dim, tuple(rows), bounds)
+
+
+def _referee_sweep(decider, matrix, rhs):
+    """(answer when some orthant is feasible, orthants, rows per orthant)."""
+    m, n = matrix.shape
+    center, rad = matrix.midpoint_radius()
+    zero_m, zero_n = (F(0),) * m, (F(0),) * n
+    every = list(SignVector.all(n))
+    if decider in ("regular", "fullrank"):
+        scale = _lcm(_ends(matrix))
+        return False, every, lambda s: _times(
+            _oettli_prager_formula(center, rad, s, zero_m, zero_m), scale
+        ) + [Constraint(tuple(scale * e for e in s), GEQ, scale)]
+    b_mid, b_rad = rhs.midpoint_radius()
+    scale = _lcm(_ends(matrix), rhs.lower(), rhs.upper())
+    nonneg = decider.endswith("nonneg-weak")
+    signs = [SignVector.ones(n)] if nonneg else every
+    if decider in ("weak", "nonneg-weak"):
+        return True, signs, lambda s: _times(
+            _oettli_prager_formula(center, rad, s, b_mid, b_rad), scale
+        )
+    if decider == "control":
+        minus_d = tuple(-v for v in b_rad)
+        return True, every, lambda s: _times(
+            _oettli_prager_formula(center, rad, s, b_mid, minus_d), scale
+        )
+    if decider in ("ineq-weak", "ineq-nonneg-weak"):
+        b_hi = rhs.upper()
+        scale = _lcm(_ends(matrix), b_hi)
+        return True, signs, lambda s: _times(
+            _oettli_prager_formula(center, rad, s, b_hi, zero_m)[0::2], scale
+        )
+    # strong and nonneg-strong, on the transpose, over the orthants of p
+    def strong_rows(s):
+        pairs = _oettli_prager_formula(
+            center.transpose(), rad.transpose(), s, zero_n, zero_n
+        )
+        b_row = tuple(b_mid[i] - b_rad[i] * s[i] for i in range(m))
+        chosen = pairs[1::2] if decider == "nonneg-strong" else pairs
+        return _times(chosen + [Constraint(b_row, LEQ, F(-1))], scale)
+
+    return False, list(SignVector.all(m)), strong_rows
+
+
+def _referee_first_orthant(signs, rows_for):
+    for s in signs:
+        outcome = lp_feasible(_orthant_program(rows_for(s), s))
+        if outcome.answer:
+            return s, outcome.certificate.witness
+    return None
+
+
+def _referee_hull(matrix, rhs):
+    n = matrix.n
+    _, signs, rows_for = _referee_sweep("weak", matrix, rhs)
+    lo, hi = [None] * n, [None] * n
+    for s in signs:
+        rows = rows_for(s)
+        if not lp_feasible(_orthant_program(rows, s)).answer:
+            continue
+        for j in range(n):
+            for direction in (1, -1):
+                obj = tuple(direction if t == j else 0 for t in range(n))
+                sol = lp_optimize(_orthant_program(rows, s, obj))
+                assert sol.status == "optimal"
+                v = sol.x[j]
+                if direction == 1:
+                    hi[j] = v if hi[j] is None else max(hi[j], v)
+                else:
+                    lo[j] = v if lo[j] is None else min(lo[j], v)
+    return None if lo[0] is None else IntervalVector.from_bounds(tuple(lo), tuple(hi))
+
+
+def _applies(decider, matrix):
+    m, n = matrix.shape
+    return {"regular": m == n, "fullrank": m >= n}.get(decider, True)
+
+
+def _check_against_referee(matrix, rhs):
+    for decider, (run, _) in DECIDERS.items():
+        if not _applies(decider, matrix):
+            continue
+        found, signs, rows_for = _referee_sweep(decider, matrix, rhs)
+        hit = _referee_first_orthant(signs, rows_for)
+        decision = run(matrix, rhs)
+        if hit is None:
+            assert decision.answer is not found, decider
+            assert decision.certificate is None or decision.certificate.sign_vector is None
+        else:
+            s, x = hit
+            assert decision.answer is found, decider
+            assert decision.certificate.sign_vector == s.entries, decider
+            assert decision.certificate.witness == x, decider
+    if matrix.m >= matrix.n and has_full_column_rank_exact(matrix).answer:
+        assert hull_exact(matrix, rhs).box == _referee_hull(matrix, rhs)
+
+
+def _corpus():
+    for n in (2, 3, 4):
+        for seed in range(2):
+            system = generate.well_conditioned_system(n, seed)
+            yield f"system-{n}-{seed}", system
+            matrix, rhs = system
+            mid, _ = rhs.midpoint_radius()
+            centred = IntervalVector([Interval(e.lo - v, e.hi - v) for e, v in zip(rhs.entries, mid)])
+            yield f"centred-{n}-{seed}", (matrix, centred)
+            yield f"mmatrix-{n}-{seed}", generate.mmatrix_system(n, seed)
+            side = generate.gen_rhs(n, seed, F(1, 4))
+            yield f"regular-{n}-{seed}", (generate.gen_regular_matrix(n, seed), side)
+            yield f"singular-{n}-{seed}", (
+                generate.gen_boundary_singular_matrix(n, seed), side
+            )
+            yield f"tall-{n}-{seed}", (
+                generate.gen_interval_matrix(n + 1, n, seed, F(1, 2)),
+                generate.gen_rhs(n + 1, seed, F(1, 2)),
+            )
+    for name, make in INSTANCES.items():
+        matrix, rhs = make()
+        yield name, (matrix, rhs or generate.gen_rhs(matrix.m, 0, F(1, 4)))
+
+
+CORPUS = list(_corpus())
+
+
+class TestPerOrthantReferee:
+    """Every sweep decider and ``hull_exact`` against the per-orthant
+    programs of the formula: same first orthant, same witness, same box."""
+
+    @pytest.mark.parametrize("name,system", CORPUS, ids=[k for k, _ in CORPUS])
+    def test_generated(self, name, system):
+        _check_against_referee(*system)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random(self, data):
+        m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        matrix = data.draw(interval_matrices(m, n))
+        _check_against_referee(matrix, data.draw(interval_vectors(m)))
