@@ -12,33 +12,33 @@ same columns, so Bland's rule takes the same pivots.  Constraints keep int
 coefficients as ints; the standard form, written in integer rows scaled
 once by a common multiple of the denominators, is built on first use and
 kept on the program.  Phase 1 starts on the slack basis, with artificial
-columns only on rows that need one, such as e^T D_s x >= 1.
+columns only on rows that need one, such as e^T (x+ + x-) >= 1.
 ``lp_feasible`` reads its witness from the phase-1 basis and checks it
 against the program's rows in integers; ``LinearProgram.with_objective``
 shares the standard form, so the 2n objectives of ``hull_exact`` over each
 feasible orthant start at phase 2.
 
-Every solvability LP in the package takes one of two shapes.  The orthant
-sweep, ``feasible_orthants``, solves one feasibility LP per sign orthant it
-is given, with the signs passed as variable bounds; ``endpoint_rows``,
-built once per sweep, gives each orthant the row pairs of the Oettli-Prager
-inequality |C x - b_c| <= R |x| + d, picked from the interval endpoints and
-scaled to integers.  A nonnegative weak mode sweeps the one orthant x >= 0.
-The split LP, in ``systems``, writes x = x1 - x2 with x1, x2 >= 0 for
-problems that hold for every member at once: strong inequalities and
-tolerance solutions.  ``oettli_prager_member`` inverts the Oettli-Prager
-rows: from a witness it builds the member system that the witness solves,
-and checks it.
+Every solvability LP in the package is a split LP, x = x+ - x- with
+x+, x- >= 0.  The orthant sweep, ``feasible_orthants``, fixes one half of
+each pair at 0, so |x| = x+ + x- and an orthant is bounds only: the
+Oettli-Prager rows |C x - b_c| <= R |x| + d of ``endpoint_rows`` hold on
+every orthant, and each orthant's standard form is their integer form on
+its n free columns, the columns of that orthant's program in x.  A
+nonnegative weak mode sweeps the one orthant x >= 0.  With both halves
+free, the split LP in ``systems`` serves strong inequalities and tolerance
+solutions.  ``oettli_prager_member`` inverts the Oettli-Prager rows: from a
+witness it builds the member system that the witness solves, and checks it.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import Certificate, Decision, rational
 from .errors import MalformedProgram
@@ -235,6 +235,23 @@ class _Standardized:
         return tuple(x)
 
 
+class _OrthantForm(_Standardized):
+    """The standard form of an orthant of ``feasible_orthants``: the
+    variables in ``active`` are the standard ones, the rest are fixed at 0,
+    and [A | b] is the sweep's integer rows restricted to them.  Phase 1
+    runs on first use, inside ``lp_feasible``."""
+
+    def __init__(self, rows: List[List[int]], rels: List[str], active: List[int], nvars: int):
+        self.columns = [(j, 1) for j in active]
+        self.offsets, self.n_std = (0,) * nvars, len(active)
+        self._rows, self._rels, self._pick = rows, rels, operator.itemgetter(*active, -1)
+
+    @cached_property
+    def phase1(self):
+        rows = [list(self._pick(row)) for row in self._rows]
+        return _phase1(rows, self._rels, self.n_std)
+
+
 def _exchange(rows: List[List[int]], row: int, col: int, d: int) -> int:
     """Pivot a condensed tableau with denominator d on (row, col), and return
     the new denominator.
@@ -413,17 +430,13 @@ def endpoint_rows(
     b_lo: Optional[Sequence[Fraction]] = None,
     b_hi: Optional[Sequence[Fraction]] = None,
     also: Iterable[Fraction] = (),
-) -> Tuple[int, Callable[[SignVector], List[Constraint]]]:
-    """|C x - b_c| <= R |x| + d on each orthant, as two integer rows per row
-    of the matrix.
-
-    Returns (L, rows_for).  With |x| = D_s x the pair is (C - R D_s) x <=
-    b_c + d followed by (-C - R D_s) x <= d - b_c: column j is (lo, -hi)
-    for s_j = 1 and (hi, -lo) for s_j = -1, and the right-hand sides are
-    b_hi and -b_lo, which default to zero.  Every entry is times L, the
+) -> Tuple[int, List[Constraint]]:
+    """|C x - b_c| <= R |x| + d as two integer rows per row of the matrix,
+    over the split variables (x+, x-) of x = x+ - x-, |x| = x+ + x- on every
+    orthant: lo x+ - hi x- <= b_hi, then -hi x+ + lo x- <= -b_lo (b_lo and
+    b_hi default to zero).  Returns (L, rows); every entry is times L, the
     least common multiple of the denominators of the endpoints and of
-    ``also``, the numbers of a caller's own rows.  The endpoints are read
-    and scaled here once, so an orthant only picks entries.
+    ``also``, the numbers of a caller's own rows.
     """
     zeros = (0,) * matrix.m
     b_lo = zeros if b_lo is None else b_lo
@@ -432,21 +445,13 @@ def endpoint_rows(
         *(q.denominator for row in matrix.entries for e in row for q in (e.lo, e.hi)),
         *(q.denominator for q in (*b_lo, *b_hi, *also)),
     )
-    picks = []
+    rows = []
     for row, lo_i, hi_i in zip(matrix.entries, b_lo, b_hi):
-        ends = [(_scaled(e.lo, scale), _scaled(e.hi, scale)) for e in row]
-        pairs = [((lo, -hi), (hi, -lo)) for lo, hi in ends]
-        picks.append((pairs, _scaled(hi_i, scale), -_scaled(lo_i, scale)))
-
-    def rows_for(s: SignVector) -> List[Constraint]:
-        rows = []
-        for pairs, up_rhs, down_rhs in picks:
-            cols = [pair[e < 0] for pair, e in zip(pairs, s)]
-            rows.append(Constraint(tuple(col[0] for col in cols), LEQ, up_rhs))
-            rows.append(Constraint(tuple(col[1] for col in cols), LEQ, down_rhs))
-        return rows
-
-    return scale, rows_for
+        lo = tuple(_scaled(e.lo, scale) for e in row)
+        minus_hi = tuple(-_scaled(e.hi, scale) for e in row)
+        rows.append(Constraint(lo + minus_hi, LEQ, _scaled(hi_i, scale)))
+        rows.append(Constraint(minus_hi + lo, LEQ, -_scaled(lo_i, scale)))
+    return scale, rows
 
 
 def oettli_prager_member(
@@ -498,15 +503,27 @@ def oettli_prager_member(
 
 
 def feasible_orthants(
-    signs: Iterable[SignVector], rows_for: Callable[[SignVector], Sequence[Constraint]]
+    signs: Iterable[SignVector], rows: Sequence[Constraint]
 ) -> Iterator[Tuple[SignVector, LinearProgram, Vector]]:
-    """(s, program, witness) for each orthant s of ``signs``, in that order,
-    whose program is feasible: the rows ``rows_for(s)``, a zero objective and
-    the bounds s_j x_j >= 0.
+    """(s, program, x) for each orthant s of ``signs``, in that order, whose
+    program is feasible: the integer ``rows`` over (x+, x-) of
+    ``endpoint_rows``, a zero objective and the bounds x+, x- >= 0 with
+    x-_j = 0 where s_j = 1 and x+_j = 0 where s_j = -1.  The programs share
+    the rows; x is x+ - x-.
     """
+    base = LinearProgram((0,) * len(rows[0].coeffs), rows)
+    integer = [[*con.coeffs, con.rhs] for con in base.constraints]
+    if any(type(q) is not int for row in integer for q in row):
+        raise MalformedProgram("orthant rows must be integers")
+    rels = [con.relation for con in base.constraints]
     for s in signs:
-        bounds = tuple((0, None) if e > 0 else (None, 0) for e in s)
-        program = LinearProgram((0,) * s.dim, tuple(rows_for(s)), bounds)
+        n, free = s.dim, [e > 0 for e in s.entries]
+        program = copy.copy(base)
+        ends = [(0, None if f else 0) for f in free] + [(0, 0 if f else None) for f in free]
+        object.__setattr__(program, "bounds", tuple(ends))
+        active = [j if f else n + j for j, f in enumerate(free)]
+        program.__dict__["standard_form"] = _OrthantForm(integer, rels, active, 2 * n)
         outcome = lp_feasible(program)
         if outcome.answer:
-            yield s, program, outcome.certificate.witness
+            w = outcome.certificate.witness
+            yield s, program, tuple(map(operator.sub, w[:n], w[n:]))

@@ -99,15 +99,12 @@ def _kernel_decision(matrix: IntervalMatrix) -> Decision:
     """No nonzero x with M x = 0 for any member M?  False carries the first
     orthant (lexicographic) with such an x, the witness and a singular member.
 
-    Per orthant: -R D_s x <= C x <= R D_s x and e^T D_s x >= 1.
+    Per orthant: -R D_s x <= C x <= R D_s x and e^T D_s x >= 1, which in
+    the split variables of ``endpoint_rows`` is e^T (x+ + x-) >= 1.
     """
-    scale, pairs_for = endpoint_rows(matrix)
-
-    def rows_for(s: SignVector):
-        nonzero = Constraint(tuple(scale * e for e in s), GEQ, scale)
-        return pairs_for(s) + [nonzero]
-
-    hit = next(feasible_orthants(SignVector.all(matrix.n), rows_for), None)
+    scale, rows = endpoint_rows(matrix)
+    nonzero = Constraint((scale,) * (2 * matrix.n), GEQ, scale)
+    hit = next(feasible_orthants(SignVector.all(matrix.n), rows + [nonzero]), None)
     if hit is None:
         return Decision(True)
     s, _, x = hit

@@ -5,11 +5,12 @@ Membership tests, the exact hull by orthant sweep, enclosure methods
 Hansen-Bliek-Rohn style closed form), structured exact solvers, the
 solvability suite with dual certificates, and tolerance/control solutions.
 
-Each solvability decider runs one of two LP shapes.  The orthant sweep
-(``lp.feasible_orthants``) serves weak solvability, strong solvability of
-equations (on the dual), weak inequalities and control solutions over every
-orthant, and the nonnegative weak modes over the one orthant x >= 0.  The
-split LP (``_split_lp``) serves strong inequalities, with x >= 0 or with
+Each solvability decider runs a split LP, x = x1 - x2 with x1, x2 >= 0.
+The orthant sweep (``lp.feasible_orthants``) fixes one half of each pair at
+0 per orthant and serves weak solvability, strong solvability of equations
+(on the dual), weak inequalities and control solutions over every orthant,
+and the nonnegative weak modes over the one orthant x >= 0.  With both
+halves free, ``_split_lp`` serves strong inequalities, with x >= 0 or with
 x = x1 - x2, and tolerance solutions, which are strong solutions of
 [A; -A] x <= [b_hi; -b_lo].
 """
@@ -38,6 +39,7 @@ from .lp import (
     LEQ,
     Constraint,
     LinearProgram,
+    _scaled,
     endpoint_rows,
     feasible_orthants,
     lp_feasible,
@@ -170,26 +172,22 @@ def _orthant_hull(
     """Hull of a bounded solution set from 2n LPs per feasible orthant;
     None when no orthant is feasible."""
     n = matrix.n
-    lo: List[Optional[Fraction]] = [None] * n
-    hi: List[Optional[Fraction]] = [None] * n
-    _, rows_for = endpoint_rows(matrix, rhs.lower(), rhs.upper())
-    for _, program, _ in feasible_orthants(SignVector.all(n), rows_for):
-        for j in range(n):
-            for direction in (1, -1):
-                obj = tuple(direction if t == j else 0 for t in range(n))
-                sol = lp_optimize(program.with_objective(obj))
-                if sol.status != "optimal":
-                    raise UnboundedSolutionSet(
-                        "orthant optimization unbounded despite rank check"
-                    )
-                value = sol.x[j]
-                if direction == 1:
-                    hi[j] = value if hi[j] is None else max(hi[j], value)
-                else:
-                    lo[j] = value if lo[j] is None else min(lo[j], value)
-    if lo[0] is None:
+    _, rows = endpoint_rows(matrix, rhs.lower(), rhs.upper())
+    # x_j and -x_j for each j, over the split variables: x_j = x+_j - x-_j
+    objectives = [tuple(sign * ((t == j) - (t == n + j)) for t in range(2 * n))
+                  for j in range(n) for sign in (1, -1)]
+    top: List[Optional[Fraction]] = [None] * (2 * n)  # max x_j, then max -x_j
+    for _, program, _ in feasible_orthants(SignVector.all(n), rows):
+        for k, obj in enumerate(objectives):
+            sol = lp_optimize(program.with_objective(obj))
+            if sol.status != "optimal":
+                raise UnboundedSolutionSet(
+                    "orthant optimization unbounded despite rank check"
+                )
+            top[k] = sol.value if top[k] is None else max(top[k], sol.value)
+    if top[0] is None:
         return None
-    return IntervalVector.from_bounds(tuple(lo), tuple(hi))
+    return IntervalVector.from_bounds(tuple(-v for v in top[1::2]), tuple(top[0::2]))
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +593,8 @@ def solvability(matrix: IntervalMatrix, rhs: IntervalVector, mode: str) -> Decis
         # x >= 0 is the one orthant (1, ..., 1)
         n = matrix.n
         signs = SignVector.all(n) if mode == "weak" else [SignVector.ones(n)]
-        _, rows_for = endpoint_rows(matrix, rhs.lower(), rhs.upper())
-        hit = next(feasible_orthants(signs, rows_for), None)
+        _, rows = endpoint_rows(matrix, rhs.lower(), rhs.upper())
+        hit = next(feasible_orthants(signs, rows), None)
         if hit is None:
             return Decision(False)
         s, _, x = hit
@@ -621,21 +619,16 @@ def _strong_solvability(
     with A^T p = 0 (A^T p >= 0 in the nonnegative-variable case) while some
     rhs gives b^T p <= -1; both tests linearize per sign orthant of p.
     """
-    # b_c - D_s d picks b_lo where s_i = 1 and b_hi where s_i = -1
     b_ends = tuple(zip(rhs.lower(), rhs.upper()))
-    scale, pairs_for = endpoint_rows(
+    scale, pairs = endpoint_rows(
         matrix.transpose(), also=[v for ends in b_ends for v in ends]
     )
-    scaled_ends = [(int(lo * scale), int(hi * scale)) for lo, hi in b_ends]
-
-    def rows_for(s: SignVector) -> List[Constraint]:
-        # (C^T - R^T D_s) p <= 0 and (-C^T - R^T D_s) p <= 0; the second
-        # alone is (C^T + R^T D_s) p >= 0
-        pair = pairs_for(s)
-        b_row = tuple(ends[e < 0] for ends, e in zip(scaled_ends, s))
-        return (pair[1::2] if nonneg else pair) + [Constraint(b_row, LEQ, -scale)]
-
-    hit = next(feasible_orthants(SignVector.all(matrix.m), rows_for), None)
+    # (C^T - R^T D_s) p <= 0 and (-C^T - R^T D_s) p <= 0; the second alone
+    # is (C^T + R^T D_s) p >= 0.  b_c - D_s d picks b_lo where s_i = 1 and
+    # b_hi where s_i = -1, so its row over (p+, p-) is (b_lo, -b_hi).
+    b_row = [_scaled(lo, scale) for lo, _ in b_ends] + [-_scaled(hi, scale) for _, hi in b_ends]
+    rows = (pairs[1::2] if nonneg else pairs) + [Constraint(b_row, LEQ, -scale)]
+    hit = next(feasible_orthants(SignVector.all(matrix.m), rows), None)
     if hit is None:
         return Decision(True)
     s, _, p = hit
@@ -664,8 +657,8 @@ def ineq_solvability(
         # x >= 0 is the one orthant (1, ..., 1)
         n = matrix.n
         signs = SignVector.all(n) if mode == "weak" else [SignVector.ones(n)]
-        _, pairs_for = endpoint_rows(matrix, b_hi, b_hi)
-        hit = next(feasible_orthants(signs, lambda s: pairs_for(s)[0::2]), None)
+        _, pairs = endpoint_rows(matrix, b_hi, b_hi)
+        hit = next(feasible_orthants(signs, pairs[0::2]), None)
         if hit is None:
             return Decision(False)
         s, _, x = hit
@@ -758,8 +751,8 @@ def tc_existence(matrix: IntervalMatrix, rhs: IntervalVector, kind: str) -> Deci
         return Decision(True, Certificate(witness=x))
     if kind == "control":
         # the Oettli-Prager pair with d replaced by -d swaps b_lo and b_hi
-        _, rows_for = endpoint_rows(matrix, rhs.upper(), rhs.lower())
-        hit = next(feasible_orthants(SignVector.all(matrix.n), rows_for), None)
+        _, rows = endpoint_rows(matrix, rhs.upper(), rhs.lower())
+        hit = next(feasible_orthants(SignVector.all(matrix.n), rows), None)
         if hit is None:
             return Decision(False)
         s, _, x = hit

@@ -19,6 +19,7 @@ from intlinalg import (
     IntervalMatrix,
     IntervalVector,
     LinearProgram,
+    has_full_column_rank_exact,
     is_regular_exact,
     lp_feasible,
     lp_optimize,
@@ -713,6 +714,47 @@ class TestPhase1Start:
         assert starts and set(starts) == {(1, 0)}
 
 
+class TestSimplexInsideLpCalls:
+    """Every simplex run of an orthant sweep and of ``hull_exact`` happens
+    inside an ``lp_feasible`` or ``lp_optimize`` call, so a span around
+    those two calls times the LPs: phase 1 stays lazy."""
+
+    def test_every_simplex_run_is_inside_an_lp_call(self, monkeypatch):
+        depth, runs = [0], []
+        modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "intlinalg"]
+        for name in ("lp_feasible", "lp_optimize"):
+            real = getattr(lp, name)
+
+            def entered(*args, real=real):
+                depth[0] += 1
+                try:
+                    return real(*args)
+                finally:
+                    depth[0] -= 1
+
+            for module in modules:
+                for key, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, key, entered)
+        real_simplex = lp._simplex_min
+        monkeypatch.setattr(
+            lp, "_simplex_min", lambda *args: runs.append(depth[0]) or real_simplex(*args)
+        )
+        matrix, rhs = generate.well_conditioned_system(3, 0)
+        centred = IntervalVector([iv(e.lo - e.hi, e.hi - e.lo) for e in rhs.entries])
+        is_regular_exact(generate.gen_regular_matrix(3, 0))
+        is_regular_exact(generate.gen_boundary_singular_matrix(3, 0))
+        has_full_column_rank_exact(generate.gen_interval_matrix(4, 3, 0, F(1, 4)))
+        for mode in ("weak", "nonneg-weak", "strong", "nonneg-strong"):
+            systems.solvability(matrix, rhs, mode)
+        systems.ineq_solvability(matrix, rhs, "weak")
+        systems.tc_existence(matrix, rhs, "control")
+        systems.hull_exact(matrix, rhs)
+        systems.hull_exact(matrix, centred)
+        assert len(runs) > 100
+        assert min(runs) >= 1
+
+
 class TestContracts:
     def test_ragged_constraint_rejected(self):
         with pytest.raises(MalformedProgram):
@@ -1057,10 +1099,26 @@ def _all_ints(rows):
     return all(type(v) is int for r in rows for v in (*r.coeffs, r.rhs))
 
 
+def _in_orthant(rows, s):
+    """The split rows restricted to the halves that orthant s leaves free,
+    x+_j where s_j = 1 and x-_j where s_j = -1, with column j times s_j:
+    the rows in x on that orthant."""
+    n = s.dim
+    return [
+        Constraint(
+            tuple(e * r.coeffs[j if e > 0 else n + j] for j, e in enumerate(s)),
+            r.relation,
+            r.rhs,
+        )
+        for r in rows
+    ]
+
+
 class TestOettliPragerRows:
-    """The endpoint rows are L times what the defining formula computes, in
-    ints, on every orthant; L is the least common multiple of the
-    denominators of the endpoints."""
+    """The endpoint rows are over the split variables (x+, x-); on every
+    orthant, restricted to its free halves, they are L times what the
+    defining formula computes, in ints; L is the least common multiple of
+    the denominators of the endpoints."""
 
     CASES = [
         (m, n, seed, radius)
@@ -1081,13 +1139,13 @@ class TestOettliPragerRows:
         assert scale == _common_scale(matrix, rhs)
         bare_scale, without = lp.endpoint_rows(matrix)
         assert bare_scale == _common_scale(matrix)
+        assert _all_ints(with_rhs) and _all_ints(without)
+        assert {len(r.coeffs) for r in with_rhs + without} == {2 * n}
         for s in SignVector.all(n):
-            rows = with_rhs(s)
-            assert _all_ints(rows)
-            assert rows == _times(
+            assert _in_orthant(with_rhs, s) == _times(
                 _oettli_prager_formula(center, rad, s, b_mid, b_rad), scale
             )
-            assert without(s) == _times(
+            assert _in_orthant(without, s) == _times(
                 _oettli_prager_formula(center, rad, s, zero, zero), bare_scale
             )
 
@@ -1109,33 +1167,41 @@ class TestOettliPragerRows:
             ((b_lo, b_hi), (b_mid, b_rad)),
             ((b_hi, b_lo), (b_mid, minus_d)),
         ):
-            scale, rows_for = lp.endpoint_rows(matrix, *ends)
+            scale, rows = lp.endpoint_rows(matrix, *ends)
             assert scale == (_common_scale(matrix) if ends[0] is None
                              else _common_scale(matrix, rhs))
+            assert _all_ints(rows)
             for s in SignVector.all(n):
-                rows = rows_for(s)
-                assert _all_ints(rows)
-                assert rows == _times(_oettli_prager_formula(center, rad, s, b_c, d), scale)
+                assert _in_orthant(rows, s) == _times(
+                    _oettli_prager_formula(center, rad, s, b_c, d), scale
+                )
 
     @pytest.mark.parametrize("nonneg", [False, True], ids=["strong", "nonneg-strong"])
     @pytest.mark.parametrize("n", [2, 3])
     def test_strong_solvability_rows(self, monkeypatch, n, nonneg):
-        """Strong solvability's rows on C^T, R^T and its b row b_c - D_s d,
-        all times the L of the matrix and the right-hand side."""
+        """Strong solvability's rows on C^T, R^T and its b row, (b_lo, -b_hi)
+        over (p+, p-), which is b_c - D_s d on each orthant, all times the L
+        of the matrix and the right-hand side."""
         matrix = generate.gen_interval_matrix(n + 1, n, n, F(1, 2))
         rhs = generate.gen_rhs(n + 1, n, F(1, 2))
         sweeps = []
         monkeypatch.setattr(
             systems, "feasible_orthants",
-            lambda signs, rows_for: sweeps.append((list(signs), rows_for)) or iter(()),
+            lambda signs, rows: sweeps.append((list(signs), rows)) or iter(()),
         )
         systems._strong_solvability(matrix, rhs, nonneg)
-        (signs, rows_for), = sweeps
+        (signs, rows), = sweeps
         assert signs == list(SignVector.all(n + 1))
         center, rad = matrix.midpoint_radius()
         b_mid, b_rad = rhs.midpoint_radius()
         zero = tuple([F(0)] * n)
         scale = _common_scale(matrix, rhs)
+        assert _all_ints(rows)
+        assert rows[-1] == Constraint(
+            tuple(scale * v for v in rhs.lower()) + tuple(-scale * v for v in rhs.upper()),
+            LEQ,
+            -scale,
+        )
         for s in signs:
             pairs = _oettli_prager_formula(
                 center.transpose(), rad.transpose(), s, zero, zero
@@ -1144,9 +1210,7 @@ class TestOettliPragerRows:
             expected = (pairs[1::2] if nonneg else pairs) + [
                 Constraint(b_row, LEQ, F(-1))
             ]
-            rows = rows_for(s)
-            assert _all_ints(rows)
-            assert rows == _times(expected, scale)
+            assert _in_orthant(rows, s) == _times(expected, scale)
 
 
 class TestOettliPragerMember:
