@@ -516,10 +516,11 @@ def feasible_orthants(
     if any(type(q) is not int for row in integer for q in row):
         raise MalformedProgram("orthant rows must be integers")
     rels = [con.relation for con in base.constraints]
+    on, off = (0, None), (0, 0)
     for s in signs:
         n, free = s.dim, [e > 0 for e in s.entries]
         program = copy.copy(base)
-        ends = [(0, None if f else 0) for f in free] + [(0, 0 if f else None) for f in free]
+        ends = [on if f else off for f in free] + [off if f else on for f in free]
         object.__setattr__(program, "bounds", tuple(ends))
         active = [j if f else n + j for j, f in enumerate(free)]
         program.__dict__["standard_form"] = _OrthantForm(integer, rels, active, 2 * n)

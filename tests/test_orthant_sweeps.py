@@ -301,14 +301,14 @@ def test_hull_exact_table(instance, empty):
         assert report.box == vertex_system_hull(matrix, rhs)
 
 
-# -- the per-orthant programs, rebuilt here as a referee ---------------------
+# -- the per-orthant programs in x, built here as a referee ------------------
 #
-# Each sweep decider once built, per orthant s, the rows of the Oettli-Prager
-# formula in D_s times L, with the sign bounds s_j x_j >= 0, and asked
-# ``lp_feasible``.  The loop below rebuilds exactly those programs from
-# ``_oettli_prager_formula``, so the first feasible orthant and its exact
-# witness (not just the answer) must match each decider's certificate, and
-# the 2n optima per feasible orthant must give ``hull_exact``'s box.
+# Per orthant s, the loop below builds the program in x that each sweep
+# decides: the rows of ``_oettli_prager_formula`` in D_s times L, with the
+# sign bounds s_j x_j >= 0, solved by ``lp_feasible``.  The first feasible
+# orthant and its exact witness (not just the answer) must match each
+# decider's certificate, and the 2n optima per feasible orthant must give
+# ``hull_exact``'s box: the pivots of the sweep are those of these programs.
 
 
 def _lcm(*groups):
