@@ -44,6 +44,19 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
+def mul_bounds(a, b, c, d) -> tuple:
+    """Endpoints of [a, b] * [c, d], exact for ints and Fractions alike."""
+    if a >= 0:
+        return (a * c if c >= 0 else b * c, b * d if d >= 0 else a * d)
+    if b <= 0:
+        return (a * d if d >= 0 else b * d, b * c if c >= 0 else a * c)
+    if c >= 0:
+        return (a * d, b * d)
+    if d <= 0:
+        return (b * c, a * c)
+    return (min(a * d, b * c), max(a * c, b * d))
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed rational interval [lo, hi], lo <= hi."""
@@ -133,16 +146,7 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        if a >= 0:
-            return Interval(a * c if c >= 0 else b * c, b * d if d >= 0 else a * d)
-        if b <= 0:
-            return Interval(a * d if d >= 0 else b * d, b * c if c >= 0 else a * c)
-        if c >= 0:
-            return Interval(a * d, b * d)
-        if d <= 0:
-            return Interval(b * c, a * c)
-        return Interval(min(a * d, b * c), max(a * c, b * d))
+        return Interval(*mul_bounds(self.lo, self.hi, other.lo, other.hi))
 
     def __truediv__(self, other: "Interval") -> "Interval":
         if other.contains_zero():

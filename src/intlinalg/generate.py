@@ -181,9 +181,9 @@ def well_conditioned_system(
     """Regular system on which every enclosure method applies.
 
     Scans seeds deterministically until the contraction holds and interval
-    elimination accepts the pivots.
+    elimination accepts the pivots, which read the matrix alone.
     """
-    from .systems import _interval_gauss_elimination
+    from .systems import _forward_elimination
 
     attempt = seed
     while True:
@@ -209,7 +209,7 @@ def well_conditioned_system(
         ok = regularity_sufficient(matrix, 1).is_proven
         if ok:
             try:
-                _interval_gauss_elimination(matrix, rhs)
+                _forward_elimination(matrix.entries)
             except PivotContainsZero:
                 ok = False
         if ok:

@@ -12,11 +12,12 @@ desk scale, with an interval-elimination superset as the scalable fallback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Iterable, Optional
 
-from .core import Certificate, Decision, Interval
+from .core import Certificate, Decision, Interval, mul_bounds
 from .errors import (
     NotSquare,
     SingularIntervalMatrix,
@@ -27,7 +28,8 @@ from .errors import (
 from .matrices import IntervalMatrix, IntervalVector, RealMatrix
 from .regularity import is_regular_exact
 from .spectral import rho_less_than
-from .systems import SolveOptions, _forward_elimination, _orthant_hull, enclosure
+from .systems import SolveOptions, _back_substitution, _forward_elimination
+from .systems import _orthant_hull, enclosure
 
 EXACT_INVERSE_GUARD = 6
 EXACT_DET_GUARD = 3
@@ -40,23 +42,14 @@ class IntervalInverse:
     method: str
 
 
-def _columnwise(
-    matrix: IntervalMatrix,
-    solve: Callable[[IntervalVector], Optional[IntervalVector]],
-) -> IntervalMatrix:
-    """Column i is solve(e_i); a None column means there is no inverse."""
-    n = matrix.n
-    columns = []
-    for i in range(n):
-        unit = [Fraction(0)] * n
-        unit[i] = Fraction(1)
-        box = solve(IntervalVector.degenerate(unit))
+def _columnwise(columns: Iterable[Optional[IntervalVector]]) -> IntervalMatrix:
+    """Matrix of the boxes for A x = e_j; a None column means no inverse."""
+    taken = []
+    for box in columns:
         if box is None:
-            raise SingularIntervalMatrix(
-                "column enclosure became empty; matrix has no inverse"
-            )
-        columns.append(box)
-    return IntervalMatrix([[column[i] for column in columns] for i in range(n)])
+            raise SingularIntervalMatrix("column enclosure became empty; matrix has no inverse")
+        taken.append(box)
+    return IntervalMatrix(zip(*taken))
 
 
 def inverse_exact(matrix: IntervalMatrix) -> IntervalInverse:
@@ -69,7 +62,8 @@ def inverse_exact(matrix: IntervalMatrix) -> IntervalInverse:
         )
     if not is_regular_exact(matrix).answer:
         raise SingularIntervalMatrix("interval matrix contains a singular member")
-    box = _columnwise(matrix, lambda unit: _orthant_hull(matrix, unit))
+    units = IntervalMatrix.identity(matrix.n).entries
+    box = _columnwise(_orthant_hull(matrix, IntervalVector(e)) for e in units)
     return IntervalInverse(box, exact=True, method="hull")
 
 
@@ -122,10 +116,16 @@ def inverse_enclosure(
     method: str = "krawczyk",
     opts: SolveOptions = SolveOptions(),
 ) -> IntervalInverse:
-    """Columnwise enclosure: column i solves A x = e_i."""
+    """Columnwise enclosure: column j solves A x = e_j.  Interval
+    elimination reduces [A | I] once, as its pivots read only A."""
     if not matrix.is_square():
         raise NotSquare("inverse of a non-square interval matrix")
-    box = _columnwise(matrix, lambda unit: enclosure(matrix, unit, method, opts).box)
+    units = IntervalMatrix.identity(matrix.n).entries
+    if method == "int-ge":
+        work = _forward_elimination([a + e for a, e in zip(matrix.entries, units)])[0]
+        box = _columnwise(_back_substitution(work, matrix.n + j) for j in range(matrix.n))
+    else:
+        box = _columnwise(enclosure(matrix, IntervalVector(e), method, opts).box for e in units)
     return IntervalInverse(box, exact=False, method=method)
 
 
@@ -149,8 +149,8 @@ def det_range(matrix: IntervalMatrix, method: str = "exact") -> Interval:
 
 def _det_enclosure(matrix: IntervalMatrix) -> Interval:
     """Product of interval elimination pivots (a superset of the range)."""
-    work, sign = _forward_elimination(matrix.entries)
-    result = Interval.point(1)
-    for k in range(matrix.n):
-        result = result * work[k][k]
-    return result.scale(sign)
+    work, scales, sign = _forward_elimination(matrix.entries)
+    lo, hi = sign, sign
+    for k, row in enumerate(work):
+        lo, hi = mul_bounds(lo, hi, row[2 * k], row[2 * k + 1])
+    return Interval(lo, hi).scale(Fraction(1, math.prod(scales)))

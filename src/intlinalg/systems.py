@@ -13,15 +13,20 @@ and the nonnegative weak modes over the one orthant x >= 0.  With both
 halves free, ``_split_lp`` serves strong inequalities, with x >= 0 or with
 x = x1 - x2, and tolerance solutions, which are strong solutions of
 [A; -A] x <= [b_hi; -b_lo].
+
+Interval Gaussian elimination runs on integer rows: each row of [A | b] is
+integer endpoints over one positive scale, and each update is fraction-free
+(Bareiss 1968) yet equal to the rational one; Fractions are made only for x.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .core import Certificate, Decision, Interval, as_vector
+from .core import Certificate, Decision, Interval, as_vector, mul_bounds
 from .errors import (
     DiagonalContainsZero,
     DimensionMismatch,
@@ -330,39 +335,69 @@ def _auto_initial(
     return tight
 
 
-def _forward_elimination(
-    rows: Sequence[Sequence[Interval]],
-) -> Tuple[List[List[Interval]], int]:
+def _forward_elimination(rows: Sequence[Sequence[Interval]]) -> Tuple[list, list, int]:
     """Interval elimination below the diagonal of the n leading columns of
-    n rows; returns the reduced rows and the parity (+1 or -1) of the swaps.
+    n rows; returns (rows, scales, parity of the swaps).  Row r holds each
+    entry's endpoints as integers over one scale s_r > 0.
 
     The pivot of column k is the first candidate of largest mignitude, and
-    rows whose entry is the point zero are skipped.
+    rows whose entry is the point zero are skipped.  Pivot [P, Q] / s_k has
+    the reciprocal [L/Q, L/P] s_k / L for L = lcm(P, Q); positive scalings
+    commute with interval + and *, so row r becomes the integers
+    L row_r - (row_rk [L/Q, L/P]) row_k over s_r L, cleared of common factors.
     """
-    work = [list(row) for row in rows]
-    n = len(work)
-    sign = 1
+    work, scales = integer_rows([e for iv in row for e in (iv.lo, iv.hi)] for row in rows)
+    n, sign = len(work), 1
     for k in range(n):
-        pivot_row = None
-        pivot_mig = Fraction(0)
+        j = 2 * k
+        pivot_row, pivot_mig, pivot_scale = None, 0, 1
         for r in range(k, n):
-            mig = work[r][k].mig
-            if mig > pivot_mig:
-                pivot_mig = mig
-                pivot_row = r
+            mig = max(work[r][j], -work[r][j + 1], 0)
+            if mig * pivot_scale > pivot_mig * scales[r]:
+                pivot_row, pivot_mig, pivot_scale = r, mig, scales[r]
         if pivot_row is None:
             raise PivotContainsZero(f"all candidate pivots in column {k} contain zero")
         if pivot_row != k:
             work[k], work[pivot_row] = work[pivot_row], work[k]
+            scales[k], scales[pivot_row] = scales[pivot_row], scales[k]
             sign = -sign
+        prow = work[k]
+        lcm = math.lcm(prow[j], prow[j + 1])
         for r in range(k + 1, n):
-            if work[r][k].is_degenerate() and work[r][k].lo == 0:
+            row = work[r]
+            if row[j] == 0 == row[j + 1]:
                 continue
-            factor = work[r][k] / work[k][k]
-            for c in range(k + 1, len(work[r])):
-                work[r][c] = work[r][c] - factor * work[k][c]
-            work[r][k] = Interval.point(0)
-    return work, sign
+            f_lo, f_hi = mul_bounds(row[j], row[j + 1], lcm // prow[j + 1], lcm // prow[j])
+            h = math.gcd(lcm, f_lo, f_hi)
+            up, f_lo, f_hi = lcm // h, f_lo // h, f_hi // h
+            new = [0] * (j + 2)
+            for c in range(j + 2, len(row), 2):
+                m_lo, m_hi = mul_bounds(f_lo, f_hi, prow[c], prow[c + 1])
+                new += (up * row[c] - m_hi, up * row[c + 1] - m_lo)
+            g = math.gcd(scales[r] * up, *new)
+            work[r], scales[r] = [v // g for v in new], scales[r] * up // g
+    return work, scales, sign
+
+
+def _back_substitution(work: List[List[int]], col: int) -> IntervalVector:
+    """x with U x = column ``col`` of ``_forward_elimination``'s rows.  Row
+    scales cancel, so x is integers over one scale t with gcd(t, x) = 1; a
+    step multiplies both by the pivot's L, so gcd(L, x_k) divides out."""
+    n = len(work)
+    xs, out, t = [0] * (2 * n), [None] * (2 * n), 1
+    for k, row in reversed(list(enumerate(work))):
+        lo, hi = row[2 * col] * t, row[2 * col + 1] * t
+        for c in range(2 * k + 2, 2 * n, 2):
+            m_lo, m_hi = mul_bounds(row[c], row[c + 1], xs[c], xs[c + 1])
+            lo, hi = lo - m_hi, hi - m_lo
+        lcm = math.lcm(row[2 * k], row[2 * k + 1])
+        lo, hi = mul_bounds(lo, hi, lcm // row[2 * k + 1], lcm // row[2 * k])
+        g = math.gcd(lcm, lo, hi)
+        up = lcm // g
+        xs, t = [v * up for v in xs], t * up
+        xs[2 * k : 2 * k + 2] = lo // g, hi // g
+        out[2 * k : 2 * k + 2] = Fraction(lo // g, t), Fraction(hi // g, t)
+    return IntervalVector.from_bounds(out[::2], out[1::2])
 
 
 def _interval_gauss_elimination(
@@ -370,17 +405,8 @@ def _interval_gauss_elimination(
 ) -> IntervalVector:
     if not matrix.is_square():
         raise NotSquare("interval elimination needs a square matrix")
-    n = matrix.n
-    aug, _ = _forward_elimination(
-        [list(matrix.row(i)) + [rhs[i]] for i in range(n)]
-    )
-    xs: List[Optional[Interval]] = [None] * n
-    for k in range(n - 1, -1, -1):
-        acc = aug[k][n]
-        for c in range(k + 1, n):
-            acc = acc - aug[k][c] * xs[c]
-        xs[k] = acc / aug[k][k]
-    return IntervalVector(xs)
+    rows = [list(matrix.row(i)) + [rhs[i]] for i in range(matrix.n)]
+    return _back_substitution(_forward_elimination(rows)[0], matrix.n)
 
 
 def _sweep(
