@@ -7,37 +7,32 @@ pivoting: Edmonds 1967, Bareiss 1968), so no Fraction enters a pivot.  The
 tableau is condensed, as in lrs (Avis 2000): it keeps only the nonbasic
 columns and the right-hand side, and ``_exchange`` runs
 ``matrices.bareiss_pivot`` and puts the leaving column in the entering
-column's place.  Its entries are those of the full integer tableau on the
-same columns, so Bland's rule takes the same pivots.  Constraints keep int
-coefficients as ints; the standard form, written in integer rows scaled
-once by a common multiple of the denominators, is built on first use and
-kept on the program.  Phase 1 starts on the slack basis, with artificial
-columns only on rows that need one, such as e^T (x+ + x-) >= 1.
-``lp_feasible`` reads its witness from the phase-1 basis and checks it
-against the program's rows in integers; ``LinearProgram.with_objective``
-shares the standard form, so the 2n objectives of ``hull_exact`` over each
-feasible orthant start at phase 2.
+column's place, so Bland's rule takes the pivots of the full tableau.  The
+standard form, in integer rows scaled once by a common multiple of the
+denominators, is built on first use and kept on the program.  Phase 1
+starts on the slack basis, with artificial columns only on rows that need
+one, such as e^T (x+ + x-) >= 1.  ``lp_feasible`` checks the basic solution
+that phase 1 ends on; ``with_objective`` shares the standard form, so the 2n
+objectives of ``hull_exact`` over a feasible orthant start at phase 2.
 
 Every solvability LP in the package is a split LP, x = x+ - x- with
 x+, x- >= 0.  The orthant sweep, ``feasible_orthants``, fixes one half of
 each pair at 0, so |x| = x+ + x- and an orthant is bounds only: the
 Oettli-Prager rows |C x - b_c| <= R |x| + d of ``endpoint_rows`` hold on
-every orthant, and each orthant's standard form is their integer form on
-its n free columns, the columns of that orthant's program in x.  A
-nonnegative weak mode sweeps the one orthant x >= 0.  With both halves
-free, the split LP in ``systems`` serves strong inequalities and tolerance
-solutions.  ``oettli_prager_member`` inverts the Oettli-Prager rows: from a
-witness it builds the member system that the witness solves, and checks it.
+every orthant.  The sweep builds one phase-1 start on all 2n split columns,
+and each orthant's phase 1 picks its n free columns from it.  A nonnegative
+weak mode sweeps the one orthant x >= 0; the split LP in ``systems``, with
+both halves free, serves strong inequalities and tolerance solutions.
+``oettli_prager_member`` builds from a witness the member system it solves, and checks it.
 """
 
 from __future__ import annotations
 
-import copy
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter, sub
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import Certificate, Decision, rational
@@ -61,6 +56,7 @@ UNBOUNDED = "unbounded"
 
 
 _EXACT = frozenset((int, Fraction))
+_ZERO = Fraction(0)
 
 
 def _number(value):
@@ -142,9 +138,13 @@ class LinearProgram:
         objective = _numbers(objective)
         if len(objective) != self.nvars:
             raise MalformedProgram(f"objective arity {len(objective)} != {self.nvars}")
-        program = copy.copy(self)
-        object.__setattr__(program, "objective", objective)
-        return program
+        return self._clone(objective=objective)
+
+    def _clone(self, **fields) -> "LinearProgram":
+        """A copy with fields replaced and no ``__post_init__``; a built standard form is shared."""
+        clone = object.__new__(LinearProgram)
+        clone.__dict__.update(self.__dict__, **fields)
+        return clone
 
     @cached_property
     def standard_form(self) -> "_Standardized":
@@ -236,20 +236,21 @@ class _Standardized:
 
 
 class _OrthantForm(_Standardized):
-    """The standard form of an orthant of ``feasible_orthants``: the
-    variables in ``active`` are the standard ones, the rest are fixed at 0,
-    and [A | b] is the sweep's integer rows restricted to them.  Phase 1
-    runs on first use, inside ``lp_feasible``."""
+    """The standard form of an orthant of ``feasible_orthants``: the variables
+    in ``active`` are standard, the rest fixed at 0, and [A | b] and the phase-1
+    start are the sweep's restricted to them.  Phase 1 runs on first use."""
 
-    def __init__(self, rows: List[List[int]], rels: List[str], active: List[int], nvars: int):
+    def __init__(self, start: tuple, active: List[int], nvars: int):
         self.columns = [(j, 1) for j in active]
         self.offsets, self.n_std = (0,) * nvars, len(active)
-        self._rows, self._rels, self._pick = rows, rels, operator.itemgetter(*active, -1)
+        self._start, self._pick = start, itemgetter(*active, *range(nvars, len(start[0][0])))
 
     @cached_property
     def phase1(self):
-        rows = [list(self._pick(row)) for row in self._rows]
-        return _phase1(rows, self._rels, self.n_std)
+        rows, basis, cols, n_cols = self._start
+        k = len(self.offsets) - self.n_std  # the slack and artificial indices move down by k
+        return _phase1_run([list(self._pick(r)) for r in rows], [b - k for b in basis],
+                           [j - k for j in cols[k:]], n_cols - k)
 
 
 def _exchange(rows: List[List[int]], row: int, col: int, d: int) -> int:
@@ -315,14 +316,19 @@ def _phase1(
     Returns (tableau, basis, d, cols) at a feasible basis with no artificial
     in it, or None if infeasible: the condensed tableau over the nonbasic
     columns ``cols``, which index the n variables and then one slack per
-    inequality.  Each row is negated to b >= 0 and starts on its slack if
-    that enters at +1, else on an artificial column, indexed after the
-    slacks.  Slack and artificial columns enter at +-1; with rows scaled by
-    one common multiple of their denominators, that scales each column
+    inequality.  Slack and artificial columns enter at +-1; with rows scaled
+    by one common multiple of their denominators, that scales each column
     uniformly, so Bland's rule takes the pivots of the rational tableau.
-    Phase 2 never enters an artificial, so the artificial columns are
-    dropped from the end state.
+    Phase 2 never enters an artificial, so the end state drops those columns.
     """
+    return _phase1_run(*_phase1_start(rows, rels, n))
+
+
+def _phase1_start(rows: List[List[int]], rels: List[str], n: int) -> tuple:
+    """(tableau, basis, cols, n_cols) before phase 1 pivots, the objective row
+    last.  Each row is negated to b >= 0 and starts on its slack if that
+    enters at +1, else on an artificial column, indexed after the n_cols
+    variable and slack columns.  Column k is built from column k of rows."""
     n_cols = n + sum(rel != EQ for rel in rels)
     flipped, basis, free = [], [], []  # free: (row, its nonbasic slack)
     slack_at, art_at = n, n_cols
@@ -347,10 +353,15 @@ def _phase1(
     for trow, b in zip(tableau, basis):
         if b >= n_cols:
             obj = [o - v for o, v in zip(obj, trow)]
-    status, d = _simplex_min(tableau + [obj], cols, basis, 1)
+    return tableau + [obj], basis, cols, n_cols
+
+
+def _phase1_run(tableau: List[List[int]], basis: List[int], cols: List[int], n_cols: int):
+    """``_phase1`` from its start, which it pivots in place."""
+    status, d = _simplex_min(tableau, cols, basis, 1)
     if status != OPTIMAL:
         raise AssertionError("phase 1 is bounded below by 0 but read unbounded")
-    if obj[-1] != 0:
+    if tableau.pop()[-1] != 0:  # the objective row: minus the sum of the artificials
         return None
 
     # drive remaining artificials out of the basis; drop the rows they cannot leave
@@ -408,8 +419,8 @@ def lp_optimize(program: LinearProgram) -> LpSolution:
     status, value, y, d = _phase2(std.phase1, cost)
     if status != OPTIMAL:
         return LpSolution(status)
-    x = tuple(Fraction(v, d) for v in std.recover(y, d))
-    return LpSolution(OPTIMAL, value=shift - value, x=x)
+    x = tuple(Fraction(v, d) if v else _ZERO for v in std.recover(y, d))
+    return LpSolution(OPTIMAL, value=shift - value if shift else -value, x=x)
 
 
 def lp_feasible(program: LinearProgram) -> Decision:
@@ -509,22 +520,21 @@ def feasible_orthants(
     program is feasible: the integer ``rows`` over (x+, x-) of
     ``endpoint_rows``, a zero objective and the bounds x+, x- >= 0 with
     x-_j = 0 where s_j = 1 and x+_j = 0 where s_j = -1.  The programs share
-    the rows; x is x+ - x-.
+    the rows and one phase-1 start; x is x+ - x-.
     """
+    integer = [[*con.coeffs, con.rhs] for con in rows]
+    if not integer or any(type(q) is not int for row in integer for q in row):
+        raise MalformedProgram("orthant rows must be integers, and at least one")
     base = LinearProgram((0,) * len(rows[0].coeffs), rows)
-    integer = [[*con.coeffs, con.rhs] for con in base.constraints]
-    if any(type(q) is not int for row in integer for q in row):
-        raise MalformedProgram("orthant rows must be integers")
-    rels = [con.relation for con in base.constraints]
+    start = _phase1_start(integer, [con.relation for con in base.constraints], base.nvars)
     on, off = (0, None), (0, 0)
     for s in signs:
         n, free = s.dim, [e > 0 for e in s.entries]
-        program = copy.copy(base)
         ends = [on if f else off for f in free] + [off if f else on for f in free]
-        object.__setattr__(program, "bounds", tuple(ends))
         active = [j if f else n + j for j, f in enumerate(free)]
-        program.__dict__["standard_form"] = _OrthantForm(integer, rels, active, 2 * n)
+        program = base._clone(bounds=tuple(ends),
+                              standard_form=_OrthantForm(start, active, 2 * n))
         outcome = lp_feasible(program)
         if outcome.answer:
             w = outcome.certificate.witness
-            yield s, program, tuple(map(operator.sub, w[:n], w[n:]))
+            yield s, program, tuple(map(sub, w[:n], w[n:]))

@@ -693,22 +693,17 @@ class TestPhase1Start:
     def test_kernel_lp_has_one_artificial(self, monkeypatch, matrix):
         """The rows (+-C - R D_s) x <= 0 start on their slacks; only
         e^T D_s x >= 1 needs an artificial, which starts basic."""
-        n_cols, starts = [], []
-        real_phase1, real_simplex = lp._phase1, lp._simplex_min
+        starts = []
+        real_start = lp._phase1_start
 
-        def phase1(rows, rels, n):
-            n_cols.append(n + sum(rel != EQ for rel in rels))
-            return real_phase1(rows, rels, n)
+        def start(rows, rels, n):
+            begun = real_start(rows, rels, n)
+            _, basis, cols, width = begun
+            starts.append((sum(b >= width for b in basis),
+                           sum(j >= width for j in cols)))
+            return begun
 
-        def simplex(rows, cols, basis, d):
-            if n_cols:  # phase 1 runs the simplex once, before any phase 2
-                width = n_cols.pop()
-                starts.append((sum(b >= width for b in basis),
-                               sum(j >= width for j in cols)))
-            return real_simplex(rows, cols, basis, d)
-
-        monkeypatch.setattr(lp, "_phase1", phase1)
-        monkeypatch.setattr(lp, "_simplex_min", simplex)
+        monkeypatch.setattr(lp, "_phase1_start", start)
         is_regular_exact(matrix)
         # (artificials in the starting basis, artificial columns outside it)
         assert starts and set(starts) == {(1, 0)}

@@ -19,8 +19,9 @@ from intlinalg import (
     tc_existence,
 )
 from intlinalg import generate, lp
-from intlinalg.errors import UnboundedSolutionSet
-from intlinalg.lp import GEQ, LEQ, LinearProgram, lp_feasible, lp_optimize
+from intlinalg.errors import MalformedProgram, UnboundedSolutionSet
+from intlinalg.lp import GEQ, LEQ, LinearProgram, feasible_orthants, lp_feasible, lp_optimize
+from intlinalg.matrices import SignVector
 
 SWEEPS = {
     "kernel": lambda matrix, rhs: is_regular_exact(matrix),
@@ -40,22 +41,16 @@ def _corpus(n):
         yield (f"well-conditioned-{seed}", *generate.well_conditioned_system(n, seed))
 
 
-def _orthant_programs(monkeypatch, sweep, matrix, rhs):
+def _orthant_programs(sweep, matrix, rhs):
     """Every program the sweep hands to ``lp_feasible``, in order."""
     programs = []
     real = lp.lp_feasible
-
-    def recorded(program):
-        programs.append(program)
-        return real(program)
-
-    monkeypatch.setattr(lp, "lp_feasible", recorded)
-    try:
-        SWEEPS[sweep](matrix, rhs)
-    except UnboundedSolutionSet:
-        pass  # hull_exact on a singular matrix stops after its rank sweep
-    finally:
-        monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "lp_feasible", lambda p: programs.append(p) or real(p))
+        try:
+            SWEEPS[sweep](matrix, rhs)
+        except UnboundedSolutionSet:
+            pass  # hull_exact on a singular matrix stops after its rank sweep
     return programs
 
 
@@ -77,10 +72,10 @@ def _picked(program):
 class TestOrthantPhase1Referee:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("sweep", sorted(SWEEPS))
-    def test_phase1_equals_cold_phase1(self, monkeypatch, sweep, n):
+    def test_phase1_equals_cold_phase1(self, sweep, n):
         outcomes = set()
         for name, matrix, rhs in _corpus(n):
-            programs = _orthant_programs(monkeypatch, sweep, matrix, rhs)
+            programs = _orthant_programs(sweep, matrix, rhs)
             assert programs, name
             for k, program in enumerate(programs):
                 free = _free_halves(program)
@@ -108,9 +103,9 @@ class TestOrthantProgramCopies:
     """Orthant programs and ``with_objective`` copies share what they may
     and nothing else."""
 
-    def test_orthants_of_one_sweep_keep_their_own_bounds(self, monkeypatch):
+    def test_orthants_of_one_sweep_keep_their_own_bounds(self):
         matrix = generate.gen_regular_matrix(3, 0)
-        programs = _orthant_programs(monkeypatch, "kernel", matrix, None)
+        programs = _orthant_programs("kernel", matrix, None)
         assert len(programs) == 8
         assert len({p.bounds for p in programs}) == 8
         assert len({id(p.standard_form) for p in programs}) == 8
@@ -133,3 +128,28 @@ class TestOrthantProgramCopies:
         assert lp_optimize(twin).value == 4
         assert lp_optimize(p) == first
         assert lp_feasible(twin) == lp_feasible(p)
+
+
+class TestOrthantSweepStart:
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_one_start_per_sweep(self, monkeypatch, sweep):
+        """Every orthant of a sweep starts from one phase-1 start; hull_exact
+        runs two sweeps, the rank check and the hull."""
+        matrix, rhs = generate.well_conditioned_system(3, 0)
+        starts = []
+        real = lp._phase1_start
+        monkeypatch.setattr(
+            lp, "_phase1_start", lambda *args: starts.append(args) or real(*args)
+        )
+        programs = _orthant_programs(sweep, matrix, rhs)
+        assert len(programs) > 1
+        assert len(starts) == (2 if sweep == "hull_exact" else 1)
+
+    def test_no_rows_is_malformed(self):
+        with pytest.raises(MalformedProgram):
+            next(feasible_orthants(SignVector.all(2), []))
+
+    def test_fraction_rows_are_malformed(self):
+        rows = [lp.Constraint((1, Fraction(1, 2)), LEQ, 1)]
+        with pytest.raises(MalformedProgram):
+            next(feasible_orthants(SignVector.all(1), rows))
