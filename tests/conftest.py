@@ -8,6 +8,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 
 from intlinalg import Interval, IntervalMatrix, IntervalVector, RealMatrix
+from intlinalg.regularity import _preconditioned
 
 
 def rationals(max_num=12, max_den=8):
@@ -46,6 +47,12 @@ def real_matrices(m, n, max_num=6, max_den=4):
         min_size=m,
         max_size=m,
     ).map(RealMatrix)
+
+
+def preconditioned_fractions(matrix: IntervalMatrix, rhs: IntervalVector):
+    """``regularity._preconditioned``'s (p, x_c, q, u) as a RealMatrix, two
+    tuples of Fractions and a tuple of Fractions or None."""
+    return _preconditioned(matrix, rhs)
 
 
 def grid_sample(rng, interval: Interval, grid=1 << 10) -> Fraction:

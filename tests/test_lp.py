@@ -1348,6 +1348,7 @@ class TestUnderOptimize:
                 "tests/test_eigen.py", "tests/test_cli.py",
                 "tests/test_core.py", "tests/test_oracles.py",
                 "tests/test_acceptance.py", "tests/test_elimination.py",
+                "tests/test_point_elimination.py",
                 "-k", "not test_suite_passes_under_optimize",
             ],
             cwd=os.path.abspath(ROOT),
