@@ -1,10 +1,10 @@
 """Interval matrices/vectors, sign vectors, and exact rational point matrices.
 
 The point-matrix type carries the exact linear algebra (determinant, rank,
-inverse, solve, leading minors) that every decision procedure leans on.  It
-all runs on ``bareiss_pivot``, the package's one exact pivot, which the
-simplex in ``lp`` uses too: rows are scaled to integers (``integer_rows``)
-and every pivot divides exactly, so no Fraction enters an elimination.
+inverse, solve, leading minors) that every decision procedure leans on:
+rows scaled to integers (``integer_rows``), fraction-free forward
+elimination (``_reduce``) and back substitution (``_back_substitute``), in
+which every division is exact, so no Fraction enters an elimination.
 Products scale rows and columns the same way and take integer dot products,
 so they make one Fraction per entry.
 """
@@ -47,7 +47,9 @@ def integer_rows(rows: Iterable[Sequence[Fraction]]) -> Tuple[List[List[int]], L
 
 
 def bareiss_pivot(rows: List[List[int]], row: int, col: int, d: int) -> int:
-    """Pivot the integer tableau ``rows`` with denominator d on (row, col).
+    """Pivot the whole integer tableau ``rows`` with denominator d on (row,
+    col), for the simplex in ``lp`` and the semidefiniteness test in
+    ``spectral``.
 
     Returns the new denominator, kept positive by negating every row after a
     negative pivot.  Each entry is d times a rational tableau entry, a minor
@@ -71,15 +73,27 @@ def bareiss_pivot(rows: List[List[int]], row: int, col: int, d: int) -> int:
     return abs(p)
 
 
-def _reduce(rows: List[List[int]], ncols: int) -> Tuple[int, int, int]:
-    """Integer Gauss-Jordan on the first ncols columns of ``rows``, in place.
+def _eliminate_below(rows: List[List[int]], k: int, col: int, d: int) -> int:
+    """Pivot rows[k][col] = p over the previous pivot d: right of col, each
+    row below k takes (v p - f w) / d, exactly.  Returns p."""
+    prow = rows[k]
+    p = prow[col]
+    right = prow[col + 1 :]
+    for trow in itertools.islice(rows, k + 1, None):
+        f = trow[col]
+        if f:
+            trow[col + 1 :] = [(v * p - f * w) // d for v, w in zip(trow[col + 1 :], right)]
+        elif p != d:
+            trow[col + 1 :] = [v * p // d for v in trow[col + 1 :]]
+    return p
 
-    Each column pivots on its first nonzero entry at or below the current
-    row.  Returns (d, sign, rank): afterwards rows / d is the starting rows
-    after row operations that bring their first ncols columns to reduced row
-    echelon form, and when rank == ncols == len(rows) the determinant of the
-    starting rows is sign * d, as sign flips on every row swap and on every
-    negative pivot, after which ``bareiss_pivot`` negates the rows.
+
+def _reduce(rows: List[List[int]], ncols: int) -> Tuple[int, int, int]:
+    """Fraction-free forward elimination (Bareiss 1968) on the first ncols
+    columns of ``rows``, in place, each pivoting on its first nonzero entry
+    at or below the current row.  Returns (d, sign, rank), d the last
+    pivot's absolute value and sign the swap parity times its sign: when
+    rank == ncols == len(rows), the starting rows' determinant is sign * d.
     """
     d, sign, rank = 1, 1, 0
     for col in range(ncols):
@@ -89,26 +103,34 @@ def _reduce(rows: List[List[int]], ncols: int) -> Tuple[int, int, int]:
         if pivot_row != rank:
             rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
             sign = -sign
-        if rows[rank][col] < 0:
-            sign = -sign
-        d = bareiss_pivot(rows, rank, col, d)
+        d = _eliminate_below(rows, rank, col, d)
         rank += 1
-    return d, sign, rank
+    return abs(d), sign if d > 0 else -sign, rank
 
 
 def _positive_pivots(rows: List[List[int]], n: int) -> int:
-    """Pivot integer ``rows`` on their first n diagonal entries while each is
-    positive; returns the last pivot, or 0 at the first that is not.
-
-    With all earlier pivots positive, the pivot of column k is the leading
-    minor of order k + 1 of the starting rows.
+    """Forward elimination of integer ``rows`` on their first n diagonal
+    entries while each is positive; the last pivot, or 0 at the first that
+    is not.  Pivot k is the leading minor of order k + 1 of the start rows.
     """
     d = 1
     for k in range(n):
         if rows[k][k] <= 0:
             return 0
-        d = bareiss_pivot(rows, k, k, d)
+        d = _eliminate_below(rows, k, k, d)
     return d
+
+
+def _back_substitute(rows: List[List[int]], n: int, col: int, d: int) -> List[int]:
+    """d x for U x = column ``col`` of forward-eliminated ``rows``, U their
+    n x n upper triangle: d x_i = (d b_i - sum_{j > i} u_ij d x_j) / u_ii,
+    exact when d x is integral, as for d the starting rows' |determinant|.
+    """
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        x[i] = (d * row[col] - sum(map(operator.mul, row[i + 1 : n], x[i + 1 :]))) // row[i]
+    return x
 
 
 class RealMatrix:
@@ -251,7 +273,8 @@ class RealMatrix:
         d, _, rank = _reduce(rows, n)
         if rank < n:
             raise SingularMatrix("matrix is singular")
-        return [[Fraction(v, d) for v in row[n:]] for row in rows]
+        cols = [_back_substitute(rows, n, col, d) for col in range(n, len(rows[0]))]
+        return [[Fraction(v, d) for v in row] for row in zip(*cols)]
 
     def inverse(self) -> "RealMatrix":
         if not self.is_square():

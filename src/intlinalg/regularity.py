@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .core import Certificate, Decision, Verdict
 from .errors import (
@@ -33,6 +33,7 @@ from .matrices import (
     RealMatrix,
     SignVector,
     Vector,
+    _back_substitute,
     _positive_pivots,
     _reduce,
     integer_rows,
@@ -51,16 +52,19 @@ from .spectral import (
 
 def _preconditioned(
     matrix: IntervalMatrix, rhs: IntervalVector
-) -> Tuple[RealMatrix, Vector, Vector, Optional[Vector]]:
-    """(p, x_c, q, u) = (|C^-1| R, C^-1 b_c, |C^-1| d, (I - p)^-1 (|x_c| + q))
-    for the midpoint C of a square system, in integers; u bounds |x| on the
-    solution set of C^-1 A x = C^-1 b = [I - p, I + p] x = [x_c - q, x_c + q],
-    and is None when Beeck's rho(p) < 1 is not provable.
+) -> Tuple[List[List[int]], List[int], List[int], int, Optional[Vector]]:
+    """(P, X, Q, k, u) for the midpoint C of a square system: P / k, X / k and
+    Q / k are p = |C^-1| R, x_c = C^-1 b_c and q = |C^-1| d, and u =
+    (I - p)^-1 (|x_c| + q) bounds |x| on the solution set of C^-1 A x =
+    C^-1 b = [I - p, I + p] x = [x_c - q, x_c + q], or is None when Beeck's
+    rho(p) < 1 is not provable.
 
     Row i of [A | b] times 2 L_i, L_i the lcm of its endpoint denominators,
-    gives M = D C, N = D R, D b_c and D d.  Gauss-Jordan on [M | I] gives
-    M^-1 = K / k, so C^-1 = K D / k.  As p >= 0, rho(p) < 1 exactly when
-    every leading minor of k I - |K| N = k (I - p) is positive.
+    gives M = D C, N = D R, D b_c and D d.  Forward elimination and back
+    substitution on [M | I] give K = k M^-1 for k = |det M|, so C^-1 =
+    K D / k.  As p >= 0, rho(p) < 1 exactly when every leading minor of
+    k I - |K| N = k (I - p) is positive, and then u takes one more back
+    substitution.
     """
     n = matrix.n
     ends, _ = integer_rows(
@@ -76,7 +80,7 @@ def _preconditioned(
     k, _, rank = _reduce(tableau, n)
     if rank < n:
         raise PreconditionNotVerifiable("midpoint matrix is not invertible")
-    inv = [row[n:] for row in tableau]
+    inv = list(zip(*(_back_substitute(tableau, n, n + j, k) for j in range(n))))
     mag = [[abs(v) for v in row] for row in inv]
     p = [[sum(map(operator.mul, r, c)) for c in zip(*rad)] for r in mag]
     xc = [sum(map(operator.mul, r, b_mid)) for r in inv]
@@ -87,12 +91,8 @@ def _preconditioned(
         for i, (row, x, y) in enumerate(zip(p, xc, q))
     ]
     d = _positive_pivots(bound, n)
-    return (
-        RealMatrix([[Fraction(v, k) for v in row] for row in p]),
-        tuple(Fraction(v, k) for v in xc),
-        tuple(Fraction(v, k) for v in q),
-        tuple(Fraction(row[n], d) for row in bound) if d else None,
-    )
+    u = tuple(Fraction(v, d) for v in _back_substitute(bound, n, n, d)) if d else None
+    return p, xc, q, k, u
 
 
 def _kernel_decision(matrix: IntervalMatrix) -> Decision:
@@ -141,7 +141,7 @@ def regularity_sufficient(
         # Beeck's rho(|C^-1| R) < 1, from the kernel with b = 0
         zero = IntervalVector.degenerate((0,) * matrix.n)
         try:
-            u = _preconditioned(matrix, zero)[3]
+            u = _preconditioned(matrix, zero)[4]
         except PreconditionNotVerifiable:
             return Verdict.unknown("midpoint matrix is singular")
         if u is not None:

@@ -320,16 +320,16 @@ def monotone_hull(matrix: IntervalMatrix, rhs: IntervalVector) -> IntervalVector
 
 
 def _auto_initial(
-    p: RealMatrix, xc: Vector, q: Vector, u: Optional[Vector]
+    p: List[List[int]], xc: List[int], q: List[int], k: int, u: Optional[Vector]
 ) -> IntervalVector:
-    """Rigorous starting box from ``_preconditioned``'s (p, x_c, q, u): the
+    """Rigorous starting box from ``_preconditioned``'s (P, X, Q, k, u): the
     box [-u, u] after one Krawczyk step, [x_c - p u - q, x_c + p u + q]."""
     if u is None:
         raise NoInitialEnclosure(
             "no starting box: rho(|C^-1| R) < 1 not provable and none supplied"
         )
     box = IntervalVector.from_bounds(tuple(-v for v in u), u)
-    tight = _preconditioned_step(p, xc, q, box, "krawczyk")
+    tight = _preconditioned_step(p, xc, q, k, box, "krawczyk")
     if tight is None:
         raise AssertionError("two boxes that hold the solution set do not meet")
     return tight
@@ -436,26 +436,26 @@ def _sweep(
 
 
 def _preconditioned_step(
-    p: RealMatrix, xc: Vector, q: Vector, box: IntervalVector, method: str
+    p: List[List[int]], xc: List[int], q: List[int], k: int, box: IntervalVector, method: str
 ) -> Optional[IntervalVector]:
-    """Step on [I - p, I + p] x = [x_c - q, x_c + q] from (p, x_c, q) and |x|,
-    as [-p_ij, p_ij] x_j = [-1, 1] p_ij |x_j|: x_i meets x_c,i + [-s_i, s_i],
-    s_i = q_i + sum_j p_ij |x_j| (Krawczyk), or that over [1 - p_ii, 1 + p_ii]
-    with j != i (Jacobi; Gauss-Seidel reads the updated |x_j|); None if empty."""
+    """Step on [I - p, I + p] x = [x_c - q, x_c + q] from (p, x_c, q) = (P, X,
+    Q) / k and |x|, as [-p_ij, p_ij] x_j = [-1, 1] p_ij |x_j|: x_i meets
+    x_c,i + [-s_i, s_i], s_i = q_i + sum_j p_ij |x_j| (Krawczyk), or that over
+    [1 - p_ii, 1 + p_ii] with j != i (Jacobi; Gauss-Seidel reads the updated
+    |x_j|); None if empty."""
     divide = method != "krawczyk"
-    rows, scales = integer_rows(p.rows)  # p_ij = rows[i][j] / scales[i]
     new = list(box.entries)
     mags = [e.mag for e in new]
-    for i, (row, h) in enumerate(zip(rows, scales)):
+    for i, (row, x, r) in enumerate(zip(p, xc, q)):
         if i == 0 or method == "gauss-seidel":
-            (ints,), (k,) = integer_rows([mags])  # |x_j| = ints[j] / k
-        t = sum(map(int.__mul__, row, ints)) - (row[i] * ints[i] if divide else 0)
-        s = q[i] + Fraction(t, h * k)
-        lo, hi = xc[i] - s, xc[i] + s
-        if divide:  # times [1 / (1 + p_ii), 1 / (1 - p_ii)], which is > 0
-            d = p.rows[i][i]
-            lo, hi = lo / (1 + d if lo >= 0 else 1 - d), hi / (1 - d if hi >= 0 else 1 + d)
-        new[i] = Interval(lo, hi).intersect(new[i])
+            (ints,), (h,) = integer_rows([mags])  # |x_j| = ints[j] / h
+        # k h s_i = Q_i h + sum_j P_ij ints_j, so x_i meets [X_i h - t, X_i h + t] / (k h)
+        t = r * h + sum(map(int.__mul__, row, ints)) - (row[i] * ints[i] if divide else 0)
+        lo, hi, lo_den, hi_den = x * h - t, x * h + t, k, k
+        if divide:  # times [k / (k + P_ii), k / (k - P_ii)], which is > 0
+            d = row[i]
+            lo_den, hi_den = k + d if lo >= 0 else k - d, k - d if hi >= 0 else k + d
+        new[i] = Interval(Fraction(lo, h * lo_den), Fraction(hi, h * hi_den)).intersect(new[i])
         if new[i] is None:
             return None
         mags[i] = new[i].mag
@@ -484,15 +484,15 @@ def _iterate(
         elif any(matrix[i, i].contains_zero() for i in range(n)):
             raise PivotContainsZero("a diagonal entry contains zero")
     else:
-        p, xc, q, u = _preconditioned(matrix, rhs)
-        box = opts.initial if opts.initial is not None else _auto_initial(p, xc, q, u)
-        if method != "krawczyk" and any(p.rows[i][i] >= 1 for i in range(n)):
+        p, xc, q, k, u = _preconditioned(matrix, rhs)
+        box = opts.initial if opts.initial is not None else _auto_initial(p, xc, q, k, u)
+        if method != "krawczyk" and any(p[i][i] >= k for i in range(n)):
             raise PivotContainsZero("a preconditioned diagonal entry contains zero")
     iterations = 0
     while iterations < opts.max_iter:
         iterations += 1
         if opts.precondition is not False:
-            new_box = _preconditioned_step(p, xc, q, box, method)
+            new_box = _preconditioned_step(p, xc, q, k, box, method)
         elif method == "krawczyk":
             m, r = box.midpoint_radius()
             k_mid = vec_add(m, vec_sub(b_mid, center.matvec(m)))
@@ -513,19 +513,21 @@ def _iterate(
 
 
 def _hbr_enclosure(
-    p: RealMatrix, xc: Vector, q: Vector, xstar: Optional[Vector]
+    p: List[List[int]], xc: List[int], q: List[int], k: int, xstar: Optional[Vector]
 ) -> SolveReport:
-    """Closed-form enclosure under the proven contraction rho(|C^-1| R) < 1."""
+    """Closed-form enclosure under the proven contraction rho(|C^-1| R) < 1,
+    from ``_preconditioned``'s (P, X, Q, k, u)."""
     if xstar is None:
         raise PreconditionNotVerifiable("rho(|C^-1| R) < 1 is not provable")
-    lo = []
-    hi = []
-    for i in range(p.n):
-        pii = p.rows[i][i]
-        up = xstar[i] + (xc[i] - abs(xc[i])) / (1 - pii)
-        hi.append(max(up, (1 - pii) * up / (1 + pii)))
-        dn = -xstar[i] + (xc[i] + abs(xc[i])) / (1 - pii)
-        lo.append(min(dn, (1 - pii) * dn / (1 + pii)))
+    lo, hi = [], []
+    for i, (row, x) in enumerate(zip(p, xc)):
+        pii = row[i]
+        # (1 - p_ii) / (1 + p_ii) and x_c,i / (1 - p_ii), with the k cancelled
+        shrink = Fraction(k - pii, k + pii)
+        up = xstar[i] + Fraction(x - abs(x), k - pii)
+        hi.append(max(up, shrink * up))
+        dn = -xstar[i] + Fraction(x + abs(x), k - pii)
+        lo.append(min(dn, shrink * dn))
     box = IntervalVector.from_bounds(tuple(lo), tuple(hi))
     return SolveReport(box, "hbr", False, 0, False)
 

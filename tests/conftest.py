@@ -51,8 +51,15 @@ def real_matrices(m, n, max_num=6, max_den=4):
 
 def preconditioned_fractions(matrix: IntervalMatrix, rhs: IntervalVector):
     """``regularity._preconditioned``'s (p, x_c, q, u) as a RealMatrix, two
-    tuples of Fractions and a tuple of Fractions or None."""
-    return _preconditioned(matrix, rhs)
+    tuples of Fractions and a tuple of Fractions or None: its integers P, X
+    and Q divided by its scale k."""
+    p, xc, q, k, u = _preconditioned(matrix, rhs)
+    return (
+        RealMatrix([[Fraction(v, k) for v in row] for row in p]),
+        tuple(Fraction(v, k) for v in xc),
+        tuple(Fraction(v, k) for v in q),
+        u,
+    )
 
 
 def grid_sample(rng, interval: Interval, grid=1 << 10) -> Fraction:

@@ -140,12 +140,10 @@ def _assert_equals_referee(matrix):
         )
 
 
-def _low_rank(rng, m, n, r, entry):
-    """An m x n product of an m x r and an r x n matrix, so rank <= r."""
-    left = [[entry() for _ in range(r)] for _ in range(m)]
-    right = [[entry() for _ in range(n)] for _ in range(r)]
+def _product(left, right, n):
+    """left (m x r) times right (r x n), of rank at most r."""
     return [[sum((a * b for a, b in zip(row, col)), F(0)) for col in zip(*right)]
-            if r else [F(0)] * n for row in left]
+            if right else [F(0)] * n for row in left]
 
 
 def _corpus():
@@ -164,7 +162,9 @@ def _corpus():
             def entry():
                 return F(rng.randint(-9, 9), rng.randint(1, 7))
         if seed % 5 == 0:
-            rows = _low_rank(rng, m, n, rng.randint(0, max(min(m, n) - 1, 0)), entry)
+            r = rng.randint(0, min(m, n) - 1)
+            rows = _product([[entry() for _ in range(r)] for _ in range(m)],
+                            [[entry() for _ in range(n)] for _ in range(r)], n)
         else:
             rows = [[entry() for _ in range(n)] for _ in range(m)]
         for i in range(min(seed % 4, m - 1)):
@@ -226,8 +226,7 @@ def _matrices(draw):
         r = draw(st.integers(0, min(m, n)))
         left = draw(st.lists(st.lists(ENTRY, min_size=r, max_size=r), min_size=m, max_size=m))
         right = draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n), min_size=r, max_size=r))
-        rows = [[sum((a * b for a, b in zip(row, col)), F(0)) for col in zip(*right)]
-                if r else [F(0)] * n for row in left]
+        rows = _product(left, right, n)
     else:
         rows = draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n), min_size=m, max_size=m))
     for i in range(draw(st.integers(0, m - 1))):

@@ -13,7 +13,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import grid_sample, intervals, rationals, run_under_optimize
+from conftest import (
+    grid_sample,
+    intervals,
+    preconditioned_fractions,
+    rationals,
+    run_under_optimize,
+)
 from intlinalg import (
     Constraint,
     Interval,
@@ -62,7 +68,6 @@ from intlinalg.matrices import SignVector
 from intlinalg.oracles import vertex_matvec_hull
 from intlinalg.systems import (
     SolveReport,
-    _preconditioned,
     _sweep,
     is_interval_m_matrix,
     monotone_hull,
@@ -894,10 +899,9 @@ def test_starting_box_check_raises_under_optimize():
     explicit raise, so ``python -O`` keeps it."""
     code = (
         "from fractions import Fraction\n"
-        "from intlinalg import RealMatrix, systems\n"
+        "from intlinalg import systems\n"
         "try:\n"
-        "    systems._auto_initial(\n"
-        "        RealMatrix([[0]]), (Fraction(100),), (Fraction(0),), (Fraction(1),))\n"
+        "    systems._auto_initial([[0]], [100], [0], 1, (Fraction(1),))\n"
         "except AssertionError:\n"
         "    print('raised')\n"
     )
@@ -1711,7 +1715,7 @@ class TestEnclosureTable:
                     for i in range(n)
                 ]
 
-            p, xc, q, u = _preconditioned(a, b)
+            p, xc, q, u = preconditioned_fractions(a, b)
             if rho_less_than(p, 1):
                 assert (RealMatrix.identity(n) - p).matvec(u) == vec_add(vec_abs(xc), q)
             else:
@@ -1762,7 +1766,7 @@ def test_preconditioned_equals_fraction_formula(system):
     b_mid, b_rad = b.midpoint_radius()
     if center.det() == 0:
         with pytest.raises(PreconditionNotVerifiable):
-            _preconditioned(a, b)
+            preconditioned_fractions(a, b)
         return
     inv = center.inverse().rows
     mag = [[abs(v) for v in row] for row in inv]
@@ -1774,7 +1778,7 @@ def test_preconditioned_equals_fraction_formula(system):
         [[sum((mag[i][k] * radius.rows[k][j] for k in range(n)), F(0)) for j in range(n)]
          for i in range(n)]
     )
-    out = _preconditioned(a, b)
+    out = preconditioned_fractions(a, b)
     assert tuple(out[:3]) == (p, times(inv, b_mid), times(mag, b_rad))
     if rho_less_than(p, 1):
         assert (RealMatrix.identity(n) - p).matvec(out[3]) == vec_add(vec_abs(out[1]), out[2])
@@ -1788,7 +1792,7 @@ def _referee_iteration(a, b, method, start, max_iter):
     Gauss-Seidel, and for Krawczyk the general midpoint-radius formula with
     centre I and radius p."""
     n = a.n
-    p, xc, q, _ = _preconditioned(a, b)
+    p, xc, q, _ = preconditioned_fractions(a, b)
     eye = RealMatrix.identity(n)
     pre_a = IntervalMatrix.from_bounds(eye - p, eye + p)
     pre_b = IntervalVector.from_bounds(vec_sub(xc, q), vec_add(xc, q))
