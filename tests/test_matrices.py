@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -17,6 +18,7 @@ from intlinalg import (
     format_imx,
     is_positive_semidefinite_real,
     parse_imx,
+    parse_interval,
 )
 from intlinalg.errors import DimensionMismatch, ParseError, SingularMatrix
 from intlinalg.oracles import vertex_matvec_hull
@@ -443,6 +445,94 @@ class TestImxFormat:
         with pytest.raises(ParseError) as err:
             parse_imx("1 1\n2:1\n")
         assert "line 2" in str(err.value)
+
+
+@st.composite
+def _literals(draw):
+    """(text, value) of a rational literal in the forms .imx accepts: signs,
+    leading zeros, unreduced fractions and -0."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    num = draw(st.integers(min_value=0, max_value=10**30))
+    zeros = "0" * draw(st.integers(min_value=0, max_value=2))
+    text = f"{sign}{zeros}{num}"
+    den = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=10**6)))
+    if den is not None:
+        text += f"/{den}"
+    return text, Fraction(-num if sign == "-" else num, den or 1)
+
+
+@st.composite
+def _fields(draw):
+    (lo_text, lo), (hi_text, hi) = draw(_literals()), draw(_literals())
+    if draw(st.booleans()):
+        return lo_text
+    return f"{lo_text}:{hi_text}" if lo <= hi else f"{hi_text}:{lo_text}"
+
+
+@st.composite
+def _imx_texts(draw):
+    """(.imx text, its fields): comments, blank lines and mixed whitespace
+    around the header and the rows."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(st.lists(_fields(), min_size=n, max_size=n), min_size=m, max_size=m))
+    filler = st.lists(st.sampled_from(["", "   ", "# note", "  # 1 2 3", "\t"]), max_size=2)
+    gap = st.sampled_from([" ", "  ", "\t", " \t "])
+    lines = draw(filler) + [f"{m} {n}"]
+    for row in rows:
+        lines += draw(filler)
+        lines.append(draw(gap) + "".join(f + draw(gap) for f in row))
+    return "\n".join(lines + draw(filler)) + "\n", rows
+
+
+class TestImxParseReferee:
+    """``parse_imx`` against one ``parse_interval`` per field, and its exact
+    error on each malformed field."""
+
+    @pytest.mark.parametrize("text", [
+        "1 1\n12/8\n", "1 1\n+7\n", "1 1\n-0\n", "1 1\n007/10\n", "1 2\n-0:+7 12/8:007/4\n",
+    ])
+    def test_literal_forms(self, text):
+        self._assert_referee(text, [text.splitlines()[1].split()])
+
+    @given(case=_imx_texts())
+    @settings(max_examples=200, deadline=None)
+    def test_generated_texts_equal_referee(self, case):
+        self._assert_referee(*case)
+
+    @staticmethod
+    def _assert_referee(text, fields):
+        parsed = parse_imx(text)
+        assert parsed == IntervalMatrix([[parse_interval(f) for f in row] for row in fields])
+        for row in parsed.entries:
+            for e in row:
+                assert type(e) is Interval
+                assert type(e.lo) is Fraction and type(e.hi) is Fraction
+
+    @pytest.mark.parametrize("literal,message", [
+        ("1/0", "not a rational literal: '1/0'"),
+        ("1:", "not a rational literal: ''"),
+        (":1", "not a rational literal: ''"),
+        ("a", "not a rational literal: 'a'"),
+        ("2:1", "interval bounds out of order: 2 > 1"),
+        ("1/2:3/4:5", "not a rational literal: '3/4:5'"),
+        ("1.5", "not a rational literal: '1.5'"),
+        ("1" * 5000, None),
+        ("-1/" + "1" * 5000, None),
+    ])
+    def test_field_errors(self, literal, message):
+        if message is None:  # past the interpreter's int-to-str digit limit
+            try:
+                int("1" * 5000)
+            except ValueError as exc:
+                message = str(exc)
+            else:
+                pytest.skip("the int-to-str digit limit is off")
+        with pytest.raises(ParseError) as err:
+            parse_imx(f"# comment\n1 2\n\n0 {literal}\n")
+        assert type(err.value) is ParseError
+        assert str(err.value) == f"{message} (line 4, column 2)"
+        assert (err.value.line, err.value.column) == (4, 2)
 
 
 def test_sign_vector_enumeration_order():
