@@ -11,14 +11,17 @@ speed falls on both alike.  Afterwards it checks that both packages gave
 the same output on every instance (``repr`` equal; the command line's
 ``time_ms=`` line dropped) and prints the CPU time of each package and the
 speedup, A time over B time, per workload and per instance group: method
-and n for ``enclose``, kind and n for ``sweep`` and ``hull``.
+and n for ``enclose``, kind and n for ``sweep`` and ``hull``.  A ``parse``
+line per workload times each package parsing all of the workload's .imx
+texts, the path the bench's ``setup_s`` times (A first on even passes),
+and says whether the parsed entries are equal (``repr`` of the endpoints).
 
 Usage, from anywhere:
 
     python3 scripts/ab_time.py --a PARENT_CHECKOUT --b CHANGED_CHECKOUT \\
         [--workload sweep hull enclose] [--seed 401] [--passes 5]
 
-It exits 1 if an output differs.
+It exits 1 if an output or a parsed entry differs.
 """
 
 from __future__ import annotations
@@ -96,6 +99,21 @@ def prepare(pkg, cases, files):
     return calls
 
 
+def time_parse(packages, files, passes):
+    """(CPU seconds per package, parsed entries equal) over ``passes``
+    alternating passes of each package's ``parse_imx`` on every text."""
+    texts = [text for case_texts, _ in files for text in case_texts.values()]
+    cpu, parsed = [0.0, 0.0], [None, None]
+    for p in range(passes):
+        for side in ((0, 1) if p % 2 == 0 else (1, 0)):
+            t0 = time.process_time()
+            parsed[side] = [packages[side].parse_imx(text) for text in texts]
+            cpu[side] += time.process_time() - t0
+    a, b = ([repr([(e.lo, e.hi) for row in m.entries for e in row]) for m in side]
+            for side in parsed)
+    return cpu, a == b
+
+
 def timed(call):
     """(CPU seconds, repr of the output or of the error raised)."""
     t0 = time.process_time()
@@ -158,6 +176,11 @@ def main(argv=None) -> int:
                   f"speedup A/B {total[0] / total[1]:.3f}, "
                   f"outputs {'DIFFER' if differ else 'equal'}")
             print_groups(name, cases, cpu)
+            (a, b), same = time_parse(packages, files, args.passes)
+            failed |= not same
+            print(f"  {name} parse: {len(cases)} instances x {args.passes} passes, "
+                  f"cpu A {a:.3f} s, B {b:.3f} s, speedup A/B {a / b:.3f}, "
+                  f"entries {'equal' if same else 'DIFFER'}")
     return 1 if failed else 0
 
 

@@ -18,7 +18,8 @@ from .errors import DivisionByIntervalContainingZero, EmptyInput, ParseError
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
+# a field `lo[:hi]`, each side `p` or `p/q`; a rational has no `:hi`
+_FIELD_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?(?::([+-]?\d+)(?:/([1-9]\d*))?)?")
 
 
 def rational(value) -> Fraction:
@@ -34,8 +35,8 @@ def rational(value) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
-    match = _RATIONAL_RE.match(text)
-    if not match:
+    match = _FIELD_RE.fullmatch(text)
+    if not match or match[3] is not None:
         raise ParseError(f"not a rational literal: {text!r}")
     return Fraction(int(match[1]), int(match[2] or 1))
 
@@ -167,6 +168,21 @@ def parse_interval(text: str) -> Interval:
         lo_text, _, hi_text = text.partition(":")
         return Interval(parse_rational(lo_text), parse_rational(hi_text))
     return Interval.point(parse_rational(text))
+
+
+def _parse_field(text: str) -> Interval:
+    """``parse_interval`` of a whitespace-free field, matched once, with lo <=
+    hi checked on the matched ints; ``parse_interval`` gives any error."""
+    match = _FIELD_RE.fullmatch(text)
+    if match:
+        a, b, c, d = match.groups()
+        a, b = int(a), int(b or 1)  # int's ValueError past the digit limit
+        c, d = (a, b) if c is None else (int(c), int(d or 1))
+        if a * d <= c * b:
+            x = object.__new__(Interval)  # skips __post_init__'s coercion
+            x.__dict__.update(lo=Fraction(a, b), hi=Fraction(c, d))
+            return x
+    return parse_interval(text)
 
 
 def format_interval(x: Interval) -> str:

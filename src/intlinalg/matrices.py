@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .core import Interval, as_vector, format_interval, parse_interval, rational
+from .core import Interval, _parse_field, as_vector, format_interval, rational
 from .errors import DimensionMismatch, NotSquare, ParseError, SingularMatrix
 
 Vector = Tuple[Fraction, ...]
@@ -275,6 +275,15 @@ class RealMatrix:
             raise SingularMatrix("matrix is singular")
         cols = [_back_substitute(rows, n, col, d) for col in range(n, len(rows[0]))]
         return [[Fraction(v, d) for v in row] for row in zip(*cols)]
+
+    def _has_nonnegative_inverse(self) -> bool:
+        """Square self regular with self^-1 >= 0?  From the signs of d self^-1,
+        d = |det| > 0, back-substituted a column at a time up to a negative."""
+        n = self.n
+        eye = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        rows, _ = integer_rows(row + e for row, e in zip(self.rows, eye))
+        d, _, rank = _reduce(rows, n)
+        return rank == n and all(min(_back_substitute(rows, n, n + j, d)) >= 0 for j in range(n))
 
     def inverse(self) -> "RealMatrix":
         if not self.is_square():
@@ -637,7 +646,7 @@ def parse_imx(text: str) -> IntervalMatrix:
     """Parse the .imx matrix format.
 
     Line 1 holds `m n`; then m whitespace-separated rows of n fields, each
-    `lo:hi` or a single rational.  Lines starting with `#` are comments.
+    `lo:hi` or a single rational, and nothing more.  `#` starts a comment.
     """
     rows: List[List[Interval]] = []
     m = n = None
@@ -656,6 +665,8 @@ def parse_imx(text: str) -> IntervalMatrix:
             if m < 1 or n < 1:
                 raise ParseError("dimensions must be positive", line=lineno)
             continue
+        if len(rows) == m:
+            raise ParseError(f"expected {m} rows, found more", line=lineno)
         if len(fields) != n:
             raise ParseError(
                 f"expected {n} fields, found {len(fields)}", line=lineno
@@ -663,17 +674,17 @@ def parse_imx(text: str) -> IntervalMatrix:
         row = []
         for col, field_text in enumerate(fields, start=1):
             try:
-                row.append(parse_interval(field_text))
+                row.append(_parse_field(field_text))
             except (ParseError, ValueError) as exc:
                 raise ParseError(str(exc), line=lineno, column=col) from None
-        rows.append(row)
-        if len(rows) == m:
-            break
+        rows.append(tuple(row))
     if m is None:
         raise ParseError("empty .imx input")
     if len(rows) != m:
         raise ParseError(f"expected {m} rows, found {len(rows)}")
-    return IntervalMatrix(rows)
+    matrix = object.__new__(IntervalMatrix)  # rows of n Intervals: skip the checks
+    object.__setattr__(matrix, "entries", tuple(rows))
+    return matrix
 
 
 def format_imx(matrix: IntervalMatrix) -> str:

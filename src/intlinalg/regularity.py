@@ -8,6 +8,7 @@ kernel witness, and a concrete singular member matrix.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -60,11 +61,11 @@ def _preconditioned(
     rho(p) < 1 is not provable.
 
     Row i of [A | b] times 2 L_i, L_i the lcm of its endpoint denominators,
-    gives M = D C, N = D R, D b_c and D d.  Forward elimination and back
-    substitution on [M | I] give K = k M^-1 for k = |det M|, so C^-1 =
-    K D / k.  As p >= 0, rho(p) < 1 exactly when every leading minor of
-    k I - |K| N = k (I - p) is positive, and then u takes one more back
-    substitution.
+    gives M = D C, N = D R, D b_c and D d.  Elimination on [M | I] gives
+    |det M| M^-1, and both over their gcd give K = k M^-1, k the least
+    denominator of M^-1; C^-1 = K D / k.  As p >= 0, rho(p) < 1 exactly when
+    every leading minor of k I - |K| N = k (I - p) is positive, and then u
+    takes one more back substitution.
     """
     n = matrix.n
     ends, _ = integer_rows(
@@ -80,7 +81,10 @@ def _preconditioned(
     k, _, rank = _reduce(tableau, n)
     if rank < n:
         raise PreconditionNotVerifiable("midpoint matrix is not invertible")
-    inv = list(zip(*(_back_substitute(tableau, n, n + j, k) for j in range(n))))
+    cols = [_back_substitute(tableau, n, n + j, k) for j in range(n)]
+    g = math.gcd(k, *(v for col in cols for v in col))
+    k //= g
+    inv = [[v // g for v in row] for row in zip(*cols)]
     mag = [[abs(v) for v in row] for row in inv]
     p = [[sum(map(operator.mul, r, c)) for c in zip(*rad)] for r in mag]
     xc = [sum(map(operator.mul, r, b_mid)) for r in inv]

@@ -36,7 +36,6 @@ from .errors import (
     PivotContainsZero,
     PreconditionNotVerifiable,
     ShapeError,
-    SingularMatrix,
     UnboundedSolutionSet,
 )
 from .lp import (
@@ -274,24 +273,14 @@ def monotone_hull(matrix: IntervalMatrix, rhs: IntervalVector) -> IntervalVector
     that for -b_lo.  Rohn's sign accord finds it: solve the member
     A_c - Delta diag(z), flip the lowest z_j with z_j x_j < 0, repeat.
     Least-index flips never revisit a sign vector on this P-matrix problem,
-    so the budget of 2^n flips per bound is never reached.
+    so the budget of 2^n flips per bound is never reached.  No endpoint
+    inverse is built: their signs come from an integer back substitution.
     """
     _check_system(matrix, rhs)
     n = matrix.n
-    lo_m = matrix.lower()
-    hi_m = matrix.upper()
-    try:
-        nonneg = (
-            matrix.is_square()
-            and lo_m.inverse().is_nonnegative()
-            and hi_m.inverse().is_nonnegative()
-        )
-    except SingularMatrix:
-        nonneg = False
-    if not nonneg:
-        raise PreconditionNotVerifiable(
-            "monotone hull needs nonnegative endpoint inverses"
-        )
+    lo_m, hi_m = matrix.lower(), matrix.upper()
+    if not (matrix.is_square() and all(e._has_nonnegative_inverse() for e in (lo_m, hi_m))):
+        raise PreconditionNotVerifiable("monotone hull needs nonnegative endpoint inverses")
 
     def upper_bound(b: Vector) -> Vector:
         # start from the signs of b: A^-1 >= 0 maps b >= 0 to x >= 0

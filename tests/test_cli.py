@@ -279,6 +279,13 @@ class TestExitCodes:
         code, fields, _ = invoke("check", "regular", files["bad.imx"])
         assert code == 1
 
+    def test_line_after_last_row_is_1(self, tmp_path):
+        path = tmp_path / "extra.imx"
+        path.write_text("2 2\n1 0\n0 1\n5 6\n")
+        code, fields, _ = invoke("solve", str(path), str(path), "--method", "hbr")
+        assert code == 1
+        assert fields["error"] == "parse: expected 2 rows, found more (line 4)"
+
     def test_missing_file_is_1(self):
         code, _, _ = invoke("check", "regular", "no-such-file.imx")
         assert code == 1

@@ -446,6 +446,22 @@ class TestImxFormat:
             parse_imx("1 1\n2:1\n")
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("text,line", [
+        ("2 2\n1 2\n3 4\n5 6\n", 4),
+        ("1 1\n1\n garbage\n", 3),
+        ("1 1\n# comment\n1\n\n# trailing comment\n2\n", 6),
+    ])
+    def test_line_after_last_row_is_an_error(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_imx(text)
+        assert err.value.line == line
+        assert str(err.value) == f"expected {text.split()[0]} rows, found more (line {line})"
+
+    def test_comments_after_last_row_still_load(self):
+        assert parse_imx("1 2\n1 0:1\n\n# seed=3 class=regular\n   \n") == IntervalMatrix(
+            [[iv(1, 1), iv(0, 1)]]
+        )
+
 
 @st.composite
 def _literals(draw):

@@ -36,6 +36,7 @@ from intlinalg.generate import (
     well_conditioned_system,
 )
 from intlinalg.matrices import _positive_pivots, _reduce, bareiss_pivot, integer_rows
+from intlinalg.regularity import _preconditioned
 
 
 def _gj_reduce(rows, ncols):
@@ -312,6 +313,24 @@ class TestPreconditionedReferee:
             if matrix.midpoint_radius()[0].det() < 0:
                 seen.add("negative determinant")
         assert seen == {"singular midpoint", "beeck holds", "beeck fails", "negative determinant"}
+
+
+def test_preconditioned_scale_is_least_denominator():
+    """k is the least common denominator of M^-1, M = D C the midpoint with
+    row i times 2 L_i, L_i the lcm of its endpoint denominators."""
+    checked = 0
+    for matrix, rhs in _systems():
+        ends, _ = integer_rows(
+            [v for e in row + (b,) for v in (e.lo, e.hi)]
+            for row, b in zip(matrix.entries, rhs.entries)
+        )
+        mid = RealMatrix([[lo + hi for lo, hi in zip(row[:-2:2], row[1:-2:2])] for row in ends])
+        if mid.det() == 0:
+            continue
+        lcd = math.lcm(*(v.denominator for row in mid.inverse().rows for v in row))
+        assert _preconditioned(matrix, rhs)[3] == lcd
+        checked += 1
+    assert checked == 83
 
 
 @st.composite
