@@ -180,7 +180,8 @@ def _parse_field(text: str) -> Interval:
         c, d = (a, b) if c is None else (int(c), int(d or 1))
         if a * d <= c * b:
             x = object.__new__(Interval)  # skips __post_init__'s coercion
-            x.__dict__.update(lo=Fraction(a, b), hi=Fraction(c, d))
+            object.__setattr__(x, "lo", lo := Fraction(a, b))
+            object.__setattr__(x, "hi", lo if match[3] is None else Fraction(c, d))
             return x
     return parse_interval(text)
 

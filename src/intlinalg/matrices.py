@@ -648,7 +648,7 @@ def parse_imx(text: str) -> IntervalMatrix:
     Line 1 holds `m n`; then m whitespace-separated rows of n fields, each
     `lo:hi` or a single rational, and nothing more.  `#` starts a comment.
     """
-    rows: List[List[Interval]] = []
+    rows: List[Tuple[Interval, ...]] = []
     m = n = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -83,8 +83,7 @@ def _preconditioned(
         raise PreconditionNotVerifiable("midpoint matrix is not invertible")
     cols = [_back_substitute(tableau, n, n + j, k) for j in range(n)]
     g = math.gcd(k, *(v for col in cols for v in col))
-    k //= g
-    inv = [[v // g for v in row] for row in zip(*cols)]
+    k, inv = k // g, [[v // g for v in row] for row in zip(*cols)]
     mag = [[abs(v) for v in row] for row in inv]
     p = [[sum(map(operator.mul, r, c)) for c in zip(*rad)] for r in mag]
     xc = [sum(map(operator.mul, r, b_mid)) for r in inv]
