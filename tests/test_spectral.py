@@ -2,6 +2,7 @@
 and exact definiteness decisions."""
 
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -20,6 +21,7 @@ from intlinalg import (
 )
 from intlinalg.errors import NotSymmetric, UnsupportedMatrixClass
 from intlinalg.spectral import sqrt_down, sqrt_up, sym_eigen_range
+from test_matrices import _gram_rows, _minor, _symmetric_rows
 
 TOL = Fraction(1, 10**8)
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -203,6 +205,62 @@ class TestSpectralRadius:
             spectral_radius(RealMatrix([[0, -1], [1, 0]]), TOL)
 
 
+def _rho_table_matrices(n):
+    """Three seeded nonnegative matrices (dense, sparse and a weighted
+    cycle, on which power iteration does not converge) and one symmetric
+    matrix with negative entries."""
+    rng = random.Random(f"rho-table-{n}")
+    table = {
+        "dense": RealMatrix(
+            [[F(rng.randint(0, 9), rng.choice((1, 2, 3))) for _ in range(n)] for _ in range(n)]
+        ),
+        "sparse": RealMatrix(
+            [[F(rng.choice((0, 0, 0, 1, 2, 5)), rng.choice((1, 4))) for _ in range(n)]
+             for _ in range(n)]
+        ),
+        "cyclic": RealMatrix(
+            [[F(rng.randint(1, 3)) if j == (i + 1) % n else F(0) for j in range(n)]
+             for i in range(n)]
+        ),
+    }
+    sym = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            sym[i][j] = sym[j][i] = F(rng.randint(-5, 5), rng.choice((1, 2)))
+    table["symmetric"] = RealMatrix(sym)
+    return table
+
+
+def _radius_text(matrix, tol):
+    enc = spectral_radius(matrix, tol)
+    iterate = "-" if enc.iterate is None else ",".join(map(str, enc.iterate))
+    return f"{enc.value.lo}:{enc.value.hi} {iterate}"
+
+
+# SHA-256 of the lines "n=<n> tol=<tol> <lo:hi> <iterate>" over n = 1..6
+# and TABLE_TOLS
+RADIUS_TABLE = {
+    "dense": "340201fd19b29d52d2b65e72be87951c477fd99c86d7a4c8a0bd9f723b150eec",
+    "sparse": "856eec6e3b5a83f97787e6b3171e6906b6b211150e10dbc58ec7840c630ff88e",
+    "cyclic": "1705754f35bdd1462289d0574dcd84e5560854a7e6fd9e594bfe744469cc7f6d",
+    "symmetric": "f61e0f3ded75ea50b1c2065e7b982f9a1a4856693fc4b9e2fc1921caa1e40a2c",
+}
+
+
+class TestRadiusTable:
+    """Pinned enclosures and Collatz-Wielandt iterates of spectral_radius."""
+
+    @pytest.mark.parametrize("kind", sorted(RADIUS_TABLE))
+    def test_seeded_corpus(self, kind):
+        lines = [
+            f"n={n} tol={tol} {_radius_text(_rho_table_matrices(n)[kind], tol)}"
+            for n in range(1, 7)
+            for tol in TABLE_TOLS
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == RADIUS_TABLE[kind]
+
+
 class TestRhoThreshold:
     def test_exact_boundary(self):
         m = RealMatrix.ones(2, 2).scale(F(1, 2))  # rho exactly 1
@@ -311,6 +369,47 @@ class TestDefiniteness:
             m = RealMatrix(raw)
             if is_positive_definite_real(m).is_proven:
                 assert is_positive_semidefinite_real(m)
+
+
+def _semidefinite_cases():
+    """Seeded symmetric matrices up to n = 4: random ones, Gram matrices of
+    every rank, and tI - M at and next to the eigenvalues of a matrix with a
+    known rational spectrum, the shifts the eigenvalue bisection tests; each
+    of order < 4 also behind a zero first row and column."""
+    rng = random.Random(41)
+    cases = [_symmetric_rows(rng, n) for n in range(1, 5) for _ in range(15)]
+    cases += [_gram_rows(rng, n, k) for n in range(1, 5) for k in range(1, n + 1)
+              for _ in range(4)]
+    for n in range(1, 5):
+        spectrum = [F(rng.choice((-1, 0, 2, 2))) for _ in range(n)]
+        q = _householder([F(rng.randint(1, 3)) for _ in range(n)])
+        m = q @ RealMatrix.diag(spectrum) @ q
+        for lam in set(spectrum):
+            for t in (lam - F(1, 97), lam, lam + F(1, 97)):
+                cases.append([[t * (i == j) - v for j, v in enumerate(row)]
+                              for i, row in enumerate(m.rows)])
+    return cases + [[[F(0)] * (len(rows) + 1)] + [[F(0)] + row for row in rows]
+                    for rows in cases if len(rows) < 4]
+
+
+def test_semidefinite_matches_principal_minors():
+    """PSD exactly when every principal minor is >= 0, the minors from the
+    Leibniz referee, which shares no elimination with the decision."""
+    outcomes = set()
+    deficient_psd = 0
+    for rows in _semidefinite_cases():
+        n = len(rows)
+        minors = [
+            _minor(rows, idx, idx)
+            for k in range(1, n + 1)
+            for idx in itertools.combinations(range(n), k)
+        ]
+        expected = all(v >= 0 for v in minors)
+        assert is_positive_semidefinite_real(RealMatrix(rows)) == expected, rows
+        outcomes.add(expected)
+        deficient_psd += expected and minors[-1] == 0
+    assert outcomes == {True, False}
+    assert deficient_psd >= 10
 
 
 def test_enclosure_soundness_on_exact_corpus():
