@@ -1,13 +1,13 @@
 """Rational enclosures of spectral quantities of point matrices.
 
 Everything here is exact rational arithmetic.  Definiteness is decided
-exactly by the signs of integer pivots (``matrices.bareiss_pivot``).
-Eigenvalue bounds for symmetric matrices bisect on the same pivots: by
-Sylvester's law of inertia, lambda_min(M) <= t exactly when M - tI is not
-positive definite, and lambda_max(M) <= t exactly when tI - M is positive
-semidefinite.  Spectral radii of nonnegative matrices combine
-Collatz-Wielandt bounds from a positive power iterate with an exact
-threshold test.
+exactly by the signs of fraction-free pivots on integer rows.  Eigenvalue
+bounds for symmetric matrices bisect on the same pivots (one integer form
+of M per call, shifted per step): by Sylvester's law of inertia,
+lambda_min(M) <= t exactly when M - tI is not positive definite, and
+lambda_max(M) <= t exactly when tI - M is positive semidefinite.  Spectral
+radii of nonnegative matrices combine Collatz-Wielandt bounds from a
+positive power iterate with an exact threshold test.
 Consumers map "threshold inside an enclosure" to Unknown, so a Proven
 verdict is never wrong.
 """
@@ -26,7 +26,7 @@ from .errors import (
     NotSymmetric,
     UnsupportedMatrixClass,
 )
-from .matrices import RealMatrix, Vector, bareiss_pivot, integer_rows
+from .matrices import RealMatrix, Vector, _eliminate_below, _positive_pivots, integer_rows
 
 DEFAULT_TOL = Fraction(1, 10**12)
 POWER_STEPS = 200
@@ -48,21 +48,39 @@ def _positive_tol(tol) -> Fraction:
     return tol
 
 
+def _shifted(form, t: Fraction, sign: int):
+    """Rows sign (q rows[i] - p s_i e_i) for t = p/q and M's integer form
+    (rows, s), row i of M = rows[i] / s_i: each a positive multiple of row i
+    of sign (M - tI), so every minor and pivot keeps its sign."""
+    a, b = sign * t.denominator, sign * t.numerator
+    out = [[a * v for v in row] for row in form[0]]
+    for i, s in enumerate(form[1]):
+        out[i][i] -= b * s
+    return out
+
+
+def _bisect(lo: Fraction, hi: Fraction, tol: Fraction, at_or_below) -> Interval:
+    """Bisect [lo, hi] to width <= 2 tol on ``at_or_below(t)``: is the
+    quantity <= t?"""
+    for _ in range(100000):
+        if hi - lo <= 2 * tol:
+            return Interval(lo, hi)
+        mid = (lo + hi) / 2
+        if at_or_below(mid):
+            hi = mid
+        else:
+            lo = mid
+    raise NoConvergence("bisection did not reach tolerance")
+
+
 # ---------------------------------------------------------------------------
 # symmetric eigenvalues
 
 
 def _gershgorin_bounds(matrix: RealMatrix) -> Tuple[Fraction, Fraction]:
-    lo = None
-    hi = None
-    for i in range(matrix.m):
-        center = matrix.rows[i][i]
-        spread = sum(
-            (abs(v) for j, v in enumerate(matrix.rows[i]) if j != i), Fraction(0)
-        )
-        lo = center - spread if lo is None else min(lo, center - spread)
-        hi = center + spread if hi is None else max(hi, center + spread)
-    return lo, hi
+    discs = [(row[i], sum(abs(v) for j, v in enumerate(row) if j != i))
+             for i, row in enumerate(matrix.rows)]
+    return min(c - r for c, r in discs), max(c + r for c, r in discs)
 
 
 def sym_eigen_range(
@@ -72,32 +90,11 @@ def sym_eigen_range(
     if not matrix.is_symmetric():
         raise NotSymmetric("eigenvalue range requires a symmetric matrix")
     tol = _positive_tol(tol)
-    g_lo, g_hi = _gershgorin_bounds(matrix)
-
-    def shifted(t: Fraction) -> RealMatrix:
-        """M - tI."""
-        return RealMatrix(
-            [
-                [v - t if i == j else v for j, v in enumerate(row)]
-                for i, row in enumerate(matrix.rows)
-            ]
-        )
-
-    def bisect(at_or_below) -> Interval:
-        """Bisect on ``at_or_below(t)``: is the eigenvalue <= t?"""
-        lo, hi = g_lo - 1, g_hi + 1
-        for _ in range(100000):
-            if hi - lo <= 2 * tol:
-                return Interval(lo, hi)
-            mid = (lo + hi) / 2
-            if at_or_below(mid):
-                hi = mid
-            else:
-                lo = mid
-        raise NoConvergence("eigenvalue bisection did not reach tolerance")
-
-    lam_min = bisect(lambda t: not shifted(t).leading_minors_all_positive())
-    lam_max = bisect(lambda t: is_positive_semidefinite_real(-shifted(t)))
+    lo, hi = _gershgorin_bounds(matrix)
+    form = integer_rows(matrix.rows)
+    n = matrix.n
+    lam_min = _bisect(lo - 1, hi + 1, tol, lambda t: not _positive_pivots(_shifted(form, t, 1), n))
+    lam_max = _bisect(lo - 1, hi + 1, tol, lambda t: _semidefinite(_shifted(form, t, -1)))
     return SpectralEnclosure(lam_min, tol), SpectralEnclosure(lam_max, tol)
 
 
@@ -114,13 +111,17 @@ def rho_less_than(matrix: RealMatrix, threshold) -> bool:
         raise UnsupportedMatrixClass("exact threshold test needs a nonnegative matrix")
     if t <= 0:
         return False
-    shifted = RealMatrix.identity(matrix.n).scale(t) - matrix
-    return shifted.leading_minors_all_positive()
+    return _positive_pivots(_shifted(integer_rows(matrix.rows), t, -1), matrix.n) > 0
 
 
-def _collatz_wielandt(matrix: RealMatrix, x: Vector) -> Tuple[Fraction, Fraction]:
-    """Bounds min_i (Mx)_i/x_i <= rho(M) <= max_i (Mx)_i/x_i for positive x."""
-    y = matrix.matvec(x)
+def _matvec(form, x: Vector) -> Vector:
+    """M x from M's integer form (rows, s): integer dot products."""
+    (xs,), (h,) = integer_rows([x])
+    return tuple(Fraction(sum(v * w for v, w in zip(row, xs)), s * h) for row, s in zip(*form))
+
+
+def _collatz_wielandt(x: Vector, y: Vector) -> Tuple[Fraction, Fraction]:
+    """Bounds min_i y_i/x_i <= rho(M) <= max_i y_i/x_i for y = Mx, x positive."""
     ratios = [yi / xi for yi, xi in zip(y, x)]
     return min(ratios), max(ratios)
 
@@ -133,32 +134,25 @@ def spectral_radius(
         raise NotSquare("spectral radius of a non-square matrix")
     tol = _positive_tol(tol)
     if matrix.is_nonnegative():
-        n = matrix.n
+        form, n = integer_rows(matrix.rows), matrix.n
         # power iteration on M + I keeps the iterate strictly positive
         x: Vector = tuple([Fraction(1)] * n)
-        lo, hi = _collatz_wielandt(matrix, x)
+        y = _matvec(form, x)
+        lo, hi = _collatz_wielandt(x, y)
         lo = max(lo, Fraction(0))
         for _ in range(POWER_STEPS):
             if hi - lo <= 2 * tol:
                 break
-            y = matrix.matvec(x)
             x = tuple(yi + xi for yi, xi in zip(y, x))
             top = max(x)
             x = tuple(xi / top for xi in x)
-            cw_lo, cw_hi = _collatz_wielandt(matrix, x)
+            y = _matvec(form, x)
+            cw_lo, cw_hi = _collatz_wielandt(x, y)
             lo = max(lo, cw_lo, Fraction(0))
             hi = min(hi, cw_hi)
-        steps = 0
-        while hi - lo > 2 * tol:
-            mid = (lo + hi) / 2
-            if rho_less_than(matrix, mid):
-                hi = mid
-            else:
-                lo = mid
-            steps += 1
-            if steps > 100000:
-                raise NoConvergence("spectral radius bisection stalled")
-        return SpectralEnclosure(Interval(lo, hi), tol, iterate=x)
+        # rho < t exactly when tI - M has positive leading minors (t > lo >= 0)
+        value = _bisect(lo, hi, tol, lambda t: _positive_pivots(_shifted(form, t, -1), n) > 0)
+        return SpectralEnclosure(value, tol, iterate=x)
     if matrix.is_symmetric():
         enc_min, enc_max = sym_eigen_range(matrix, tol)
         a = enc_min.value.abs()
@@ -241,11 +235,16 @@ def is_positive_semidefinite_real(matrix: RealMatrix) -> bool:
     """Exact PSD decision (symmetric input)."""
     if not matrix.is_symmetric():
         raise NotSymmetric("semidefiniteness requires a symmetric matrix")
-    # rows stay positive multiples of the Schur complement of the pivots
-    # taken, so the sign and zero tests below read it directly
-    work, _ = integer_rows(matrix.rows)
+    return _semidefinite(integer_rows(matrix.rows)[0])
+
+
+def _semidefinite(work) -> bool:
+    """PSD test on integer rows ``work`` (overwritten), each a positive
+    multiple of the matching row of a symmetric matrix."""
+    # right of the last pivot, active rows stay positive multiples of the
+    # Schur complement of the pivots taken: the tests below read it directly
     d = 1
-    active = list(range(matrix.n))
+    active = list(range(len(work)))
     while active:
         # a negative diagonal kills PSD; a zero diagonal forces a zero row
         for i in active:
@@ -253,6 +252,6 @@ def is_positive_semidefinite_real(matrix: RealMatrix) -> bool:
                 return False
         active = [i for i in active if work[i][i] > 0]
         if active:
-            d = bareiss_pivot([work[i] for i in active], 0, active[0], d)
+            d = _eliminate_below([work[i] for i in active], 0, active[0], d)
         active = active[1:]
     return True
