@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .core import Interval, _parse_field, as_vector, format_interval, rational
+from .core import Interval, _parse_field, as_vector, format_interval, mul_bounds, rational
 from .errors import DimensionMismatch, NotSquare, ParseError, SingularMatrix
 
 Vector = Tuple[Fraction, ...]
@@ -48,8 +48,7 @@ def integer_rows(rows: Iterable[Sequence[Fraction]]) -> Tuple[List[List[int]], L
 
 def bareiss_pivot(rows: List[List[int]], row: int, col: int, d: int) -> int:
     """Pivot the whole integer tableau ``rows`` with denominator d on (row,
-    col), for the simplex in ``lp`` and the semidefiniteness test in
-    ``spectral``.
+    col), for the simplex in ``lp``.
 
     Returns the new denominator, kept positive by negating every row after a
     negative pivot.  Each entry is d times a rational tableau entry, a minor
@@ -482,12 +481,11 @@ class IntervalMatrix:
         xs = as_vector(x)
         if len(xs) != self.n:
             raise DimensionMismatch("vector length does not match column count")
-        center, radius = self.midpoint_radius()
-        mid = center.matvec(xs)
-        rad = radius.matvec(vec_abs(xs))
-        return IntervalVector(
-            [Interval(m - r, m + r) for m, r in zip(mid, rad)]
-        )
+        out = []
+        for row in self.entries:
+            bounds = [mul_bounds(e.lo, e.hi, v, v) for e, v in zip(row, xs)]
+            out.append(Interval(sum(b[0] for b in bounds), sum(b[1] for b in bounds)))
+        return IntervalVector(out)
 
     def matmul_interval(self, other: "IntervalMatrix") -> "IntervalMatrix":
         """Sound interval evaluation of A @ B."""
@@ -528,9 +526,8 @@ class IntervalMatrix:
         )
 
     def symmetric_views(self) -> bool:
-        """True iff midpoint and radius are both symmetric."""
-        center, radius = self.midpoint_radius()
-        return center.is_symmetric() and radius.is_symmetric()
+        """True iff midpoint and radius are both symmetric: iff the entries are."""
+        return self.entries == tuple(zip(*self.entries))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntervalMatrix) and self.entries == other.entries
