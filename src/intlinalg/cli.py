@@ -111,7 +111,11 @@ def _emit_verdict(out: TextIO, verdict: Verdict) -> int:
 
 def _load_matrix(path: str) -> IntervalMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_imx(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    return parse_imx(text)
 
 
 def _load_vector(path: str) -> IntervalVector:
@@ -143,8 +147,10 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=list(_CONDITIONS),
     )
     p_check.add_argument("matrix")
-    p_check.add_argument("--cond", type=int, default=None)
-    p_check.add_argument("--exact", action="store_true")
+    # a sufficient condition or the exact decider, not both
+    p_check_mode = p_check.add_mutually_exclusive_group()
+    p_check_mode.add_argument("--cond", type=int, default=None)
+    p_check_mode.add_argument("--exact", action="store_true")
 
     p_solve = sub.add_parser("solve", help="enclose the solution set")
     p_solve.add_argument("matrix")
@@ -530,6 +536,10 @@ def run(argv: Sequence[str], out: TextIO = sys.stdout) -> int:
         return EXIT_USAGE
     except FileNotFoundError as exc:
         out.write(f"error=missing file: {exc.filename}\n")
+        return EXIT_USAGE
+    except OSError as exc:
+        # an input that exists but cannot be read, such as a directory
+        out.write(f"error=unreadable file: {exc.filename}: {exc.strerror}\n")
         return EXIT_USAGE
     except IntervalAlgebraError as exc:
         out.write(f"error={type(exc).__name__}: {exc}\n")

@@ -290,6 +290,27 @@ class TestExitCodes:
         code, _, _ = invoke("check", "regular", "no-such-file.imx")
         assert code == 1
 
+    def test_undecodable_file_is_1(self, tmp_path):
+        path = tmp_path / "bytes.imx"
+        path.write_bytes(b"1 1\n\xff\n")
+        code, fields, lines = invoke("solve", str(path), str(path), "--method", "hbr")
+        assert code == 1
+        assert fields["error"] == f"parse: {path}: not UTF-8: invalid start byte at byte 4"
+        assert [line for line in lines if line.startswith("error=")] == lines[1:]
+
+    def test_directory_as_input_is_1(self, tmp_path, files):
+        code, fields, lines = invoke("solve", str(tmp_path), files["rhs.imx"], "--method", "hbr")
+        assert code == 1
+        assert fields["error"].startswith(f"unreadable file: {tmp_path}: ")
+        assert len(lines) == 2
+
+    def test_exact_with_cond_is_1(self, files):
+        code, fields, lines = invoke(
+            "check", "regular", files["identity.imx"], "--exact", "--cond", "1"
+        )
+        assert code == 1
+        assert "verdict" not in fields and lines == []
+
     def test_usage_error_is_1(self):
         assert invoke("frobnicate")[0] == 1
         assert invoke("solve")[0] == 1
