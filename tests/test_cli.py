@@ -296,7 +296,7 @@ class TestExitCodes:
         code, fields, lines = invoke("solve", str(path), str(path), "--method", "hbr")
         assert code == 1
         assert fields["error"] == f"parse: {path}: not UTF-8: invalid start byte at byte 4"
-        assert [line for line in lines if line.startswith("error=")] == lines[1:]
+        assert len(lines) == 2
 
     def test_directory_as_input_is_1(self, tmp_path, files):
         code, fields, lines = invoke("solve", str(tmp_path), files["rhs.imx"], "--method", "hbr")
